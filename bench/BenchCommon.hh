@@ -2,8 +2,9 @@
  * @file
  * Shared helpers for the per-figure/table benchmark binaries.  Each
  * binary regenerates one table or figure of the paper's evaluation
- * (see DESIGN.md experiment index) and prints the corresponding rows;
- * EXPERIMENTS.md records paper-vs-measured for each.
+ * and prints the corresponding rows; docs/REPRODUCE.md indexes the
+ * binaries by figure/table, with the command and expected headline
+ * of each.
  */
 
 #ifndef AIM_BENCH_BENCHCOMMON_HH

@@ -125,33 +125,23 @@ checkOptions(const AimOptions &opts)
         aim_fatal("invalid AimOptions: ", problem);
 }
 
-} // namespace
-
-double
-CompiledModel::scaledMacs() const
+/** The model's pretrained weights, synthesized under opts.seed. */
+std::vector<quant::FloatLayer>
+synthesize(const workload::ModelSpec &model, const AimOptions &opts)
 {
-    double macs = 0.0;
-    for (const auto &round : rounds)
-        for (const auto &task : round.tasks)
-            macs += static_cast<double>(task.macs);
-    return macs;
-}
-
-AimPipeline::AimPipeline(const pim::PimConfig &cfg,
-                         const power::Calibration &cal)
-    : cfg(cfg), cal(cal)
-{
-}
-
-AimPipeline::OfflineResult
-AimPipeline::runOffline(const workload::ModelSpec &model,
-                        const AimOptions &opts) const
-{
-    checkOptions(opts);
-    OfflineResult out;
     workload::SynthConfig synth;
     synth.seed = opts.seed;
-    out.floatLayers = workload::synthesizeWeights(model, synth);
+    return workload::synthesizeWeights(model, synth);
+}
+
+/** The offline passes over synthesized weights: QAT (or baseline
+ * quantization), then WDS. */
+AimPipeline::OfflineResult
+offlinePasses(std::vector<quant::FloatLayer> layers,
+              const AimOptions &opts)
+{
+    AimPipeline::OfflineResult out;
+    out.floatLayers = std::move(layers);
 
     if (opts.useLhr) {
         quant::QatConfig qcfg;
@@ -182,6 +172,32 @@ AimPipeline::runOffline(const workload::ModelSpec &model,
     return out;
 }
 
+} // namespace
+
+double
+CompiledModel::scaledMacs() const
+{
+    double macs = 0.0;
+    for (const auto &round : rounds)
+        for (const auto &task : round.tasks)
+            macs += static_cast<double>(task.macs);
+    return macs;
+}
+
+AimPipeline::AimPipeline(const pim::PimConfig &cfg,
+                         const power::Calibration &cal)
+    : cfg(cfg), cal(cal)
+{
+}
+
+AimPipeline::OfflineResult
+AimPipeline::runOffline(const workload::ModelSpec &model,
+                        const AimOptions &opts) const
+{
+    checkOptions(opts);
+    return offlinePasses(synthesize(model, opts), opts);
+}
+
 CompiledModel
 AimPipeline::compile(const workload::ModelSpec &model,
                      const AimOptions &opts) const
@@ -192,22 +208,21 @@ AimPipeline::compile(const workload::ModelSpec &model,
     out.options = opts;
     out.stream = model.stream;
 
-    // Offline software passes.
-    OfflineResult offline = runOffline(model, opts);
-    out.hrAverage = offline.quantized.hrAverage();
-    out.hrMax = offline.quantized.hrMax();
-    out.wdsClampedFraction = offline.wdsClampedFraction;
-
-    // Reference baseline HR of the identical pretrained weights.
+    // One synthesis of the pretrained weights feeds both the
+    // reference baseline HR and the offline software passes; the
+    // baseline quantizes a copy taken before QAT adjusts them.
+    std::vector<quant::FloatLayer> layers = synthesize(model, opts);
     {
-        workload::SynthConfig synth;
-        synth.seed = opts.seed;
-        auto base_layers = workload::synthesizeWeights(model, synth);
+        auto base_layers = layers;
         const auto base =
             quant::quantizeBaseline(base_layers, opts.bits);
         out.baselineHrAverage = base.hrAverage();
         out.baselineHrMax = base.hrMax();
     }
+    OfflineResult offline = offlinePasses(std::move(layers), opts);
+    out.hrAverage = offline.quantized.hrAverage();
+    out.hrMax = offline.quantized.hrMax();
+    out.wdsClampedFraction = offline.wdsClampedFraction;
 
     // Accuracy proxy (runtime-independent, so owned by the artifact).
     workload::AccuracyExtras extras;

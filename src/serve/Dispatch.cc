@@ -67,21 +67,6 @@ ChipPool::ChipPool(int chips)
 }
 
 int
-ChipPool::earliestFree() const
-{
-    int c = -1;
-    for (int i = 0; i < size(); ++i) {
-        if (!slots[static_cast<size_t>(i)].active)
-            continue;
-        if (c < 0 || slots[static_cast<size_t>(i)].freeAtUs <
-                         slots[static_cast<size_t>(c)].freeAtUs)
-            c = i;
-    }
-    aim_assert(c >= 0, "chip pool has no active chip");
-    return c;
-}
-
-int
 ChipPool::freeChipAt(double now_us) const
 {
     int c = -1;
@@ -94,30 +79,6 @@ ChipPool::freeChipAt(double now_us) const
             c = i;
     }
     return c;
-}
-
-std::vector<int>
-ChipPool::acquireGang(int gang_chips) const
-{
-    std::vector<int> member;
-    member.reserve(slots.size());
-    for (int i = 0; i < size(); ++i)
-        if (slots[static_cast<size_t>(i)].active)
-            member.push_back(i);
-    // Too few active chips is a recoverable condition, not a bug:
-    // the autoscaler may have shrunk the pool just before a gang
-    // arrival.  Return empty and let the caller reactivate chips.
-    if (static_cast<int>(member.size()) < gang_chips)
-        return {};
-    std::sort(member.begin(), member.end(), [&](int a, int b) {
-        const auto &sa = slots[static_cast<size_t>(a)];
-        const auto &sb = slots[static_cast<size_t>(b)];
-        if (sa.freeAtUs != sb.freeAtUs)
-            return sa.freeAtUs < sb.freeAtUs;
-        return a < b;
-    });
-    member.resize(static_cast<size_t>(gang_chips));
-    return member;
 }
 
 std::vector<int>
@@ -197,19 +158,6 @@ ChipPool::activeCount() const
     for (const auto &s : slots)
         n += s.active ? 1 : 0;
     return n;
-}
-
-double
-ChipPool::nextCompletionAfter(double now_us) const
-{
-    double next = -1.0;
-    for (const auto &s : slots) {
-        if (!s.active || s.freeAtUs <= now_us)
-            continue;
-        if (next < 0.0 || s.freeAtUs < next)
-            next = s.freeAtUs;
-    }
-    return next;
 }
 
 bool
@@ -299,12 +247,6 @@ RequestExecutor::RequestExecutor(const ChipSku &sku,
 }
 
 RequestExecutor::~RequestExecutor() = default;
-
-bool
-RequestExecutor::usesIsa() const
-{
-    return engine != nullptr;
-}
 
 ExecResult
 RequestExecutor::run(const CompiledModel &compiled, uint64_t seed,
@@ -514,8 +456,9 @@ ArtifactMeta::annotate(const Request &request, ModelCache &cache)
         // One artifact per SKU class that can hold the model; the
         // scheduling keys default to the most capable fitting class
         // (dispatch substitutes the actual chip's class at placement
-        // time).  A model no class can hold cannot be served at all:
-        // fail loudly rather than queue it forever.
+        // time).  A model that no chip of the fleet can hold (fitting
+        // a configured SKU no chip instantiates is not enough) cannot
+        // be served at all: fail loudly rather than queue it forever.
         if (!reloadByModel.count(request.model)) {
             const auto spec = workload::modelByName(request.model);
             mweightByModel[request.model] =
@@ -525,6 +468,13 @@ ArtifactMeta::annotate(const Request &request, ModelCache &cache)
                 fcfg->reloadUsPerMweight;
         }
         q.requiredMweight = mweightByModel.at(request.model);
+        bool placeable = false;
+        for (int c = 0; c < fcfg->chips && !placeable; ++c)
+            placeable = skus.fits(skus.classOf(c), q.requiredMweight);
+        if (!placeable)
+            aim_fatal("model '", request.model, "' (",
+                      q.requiredMweight,
+                      " Mweight) fits no chip of the fleet");
         const int nclasses = skus.classes();
         q.compiledByClass.assign(static_cast<size_t>(nclasses),
                                  nullptr);
@@ -545,10 +495,6 @@ ArtifactMeta::annotate(const Request &request, ModelCache &cache)
                 skus.capacity(cls) > skus.capacity(best))
                 best = cls;
         }
-        if (best < 0)
-            aim_fatal("model '", request.model, "' (",
-                      q.requiredMweight,
-                      " Mweight) fits no configured SKU");
         q.compiled = q.compiledByClass[static_cast<size_t>(best)];
         q.safeLevel =
             q.safeLevelByClass[static_cast<size_t>(best)];

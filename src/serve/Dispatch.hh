@@ -1,15 +1,9 @@
 /**
  * @file
- * Chip acquire/release and request-annotation layer shared by the
- * finite-trace Fleet replay (serve/Fleet) and the continuous
- * discrete-event serving loop (stream/EventLoop).
- *
- * Both engines simulate the same thing -- requests occupying chips of
- * a fleet, paying weight reloads on model switches and booster
- * retunes on safe-level moves -- and their reports must agree
- * bit-for-bit on finite traces.  That equivalence is only realistic
- * to maintain if the chip bookkeeping and the per-request metadata
- * derivation live in exactly one place:
+ * Chip acquire/release, serving-cost and request-annotation layer of
+ * the discrete-event serving loop (stream/EventLoop), which also
+ * serves the finite-trace Fleet replay (serve/Fleet is an adapter
+ * over it).  The pieces:
  *
  *   ChipPool     -- per-chip clock / resident-model / safe-level
  *                   slots with earliest-free selection and atomic
@@ -24,9 +18,8 @@
  *                   (estimated service time, safe level, reload
  *                   cost, gang slot layout)
  *
- * The arithmetic here is verbatim from the pre-extraction Fleet: the
- * FleetParallelTest / FleetGangTest bit-identity suites (and the
- * stream/EventLoop equivalence suite) pin it.
+ * The FleetTest replay digests and the FleetParallelTest /
+ * FleetGangTest bit-identity suites pin the arithmetic.
  */
 
 #ifndef AIM_SERVE_DISPATCH_HH
@@ -133,7 +126,7 @@ struct ChipSlot
     /**
      * Dispatchable?  Inactive chips finish whatever they are running
      * but receive no new work -- the streaming autoscaler's shrink
-     * primitive.  The Fleet replay keeps every chip active.
+     * primitive.  Without an autoscaler every chip stays active.
      */
     bool active = true;
 };
@@ -141,8 +134,7 @@ struct ChipSlot
 /**
  * The chips of a fleet as a dispatch resource: who is free when, and
  * which chips a request (or gang) should occupy next.  Selection
- * rules are deterministic -- ties break toward the lowest chip id --
- * and identical between the Fleet replay and the streaming loop.
+ * rules are deterministic: ties break toward the lowest chip id.
  */
 class ChipPool
 {
@@ -159,12 +151,6 @@ class ChipPool
     }
 
     /**
-     * Active chip with the smallest freeAtUs (ties -> lowest id).
-     * At least one chip is always active.
-     */
-    int earliestFree() const;
-
-    /**
      * Active chip already free at @p nowUs with the smallest
      * (freeAtUs, id), or -1 when every active chip is still busy.
      * The streaming loop's "can anything dispatch?" probe.
@@ -172,23 +158,14 @@ class ChipPool
     int freeChipAt(double nowUs) const;
 
     /**
-     * The @p gangChips earliest-free active chips, sorted by
-     * (freeAtUs, id) -- the members a gang request acquires
-     * atomically.  Returns an EMPTY vector when fewer active chips
-     * exist (e.g. the autoscaler shrank the pool below the gang
-     * size); callers reactivate chips and retry, or fail loudly.
-     * Historically this asserted, which crashed the streaming loop
-     * whenever a shrink raced a gang arrival.
-     */
-    std::vector<int> acquireGang(int gangChips) const;
-
-    /**
-     * Class-aware gang acquisition: member j must be an active chip
-     * of class slotClasses[j], each slot taking the earliest-free
-     * (ties -> lowest id) not-yet-taken chip of its class.  On a
-     * homogeneous fleet (all classes 0, classOf defaulted) this
-     * selects exactly acquireGang(slotClasses.size()).  Empty when
-     * any slot cannot be filled from the active pool.
+     * The members a gang request acquires atomically: member j is
+     * an active chip of class slotClasses[j], each slot taking the
+     * earliest-free (ties -> lowest id) not-yet-taken chip of its
+     * class.  On a homogeneous fleet (all classes 0) that is the
+     * slotClasses.size() earliest-free active chips.  Returns an
+     * EMPTY vector when any slot cannot be filled from the active
+     * pool (e.g. the autoscaler shrank it below the gang); callers
+     * reactivate chips and retry, or fail loudly.
      */
     std::vector<int>
     acquireGang(const std::vector<int> &slotClasses) const;
@@ -221,13 +198,6 @@ class ChipPool
 
     /** Dispatchable chips. */
     int activeCount() const;
-
-    /**
-     * Earliest completion among active chips that are busy after
-     * @p nowUs, or a negative value when all are idle.  Used by the
-     * streaming loop to bound idle-time advances.
-     */
-    double nextCompletionAfter(double nowUs) const;
 
     /** Activate the lowest-id inactive chip; false when all active. */
     bool activateOne();
@@ -313,9 +283,7 @@ struct ExecResult
  * produce bit-identical RunReports; the ISA path additionally
  * surfaces the per-request tail-idle overlap budget.  Stateless
  * across run() calls (thread-safe for concurrent use), exactly like
- * the runtimes it wraps.  One instance per serve run, shared by the
- * Fleet replay and the streaming loop so the execution arithmetic
- * has a single owner.
+ * the runtimes it wraps.  One instance per SKU class per serve run.
  */
 class RequestExecutor
 {
@@ -336,9 +304,6 @@ class RequestExecutor
     ExecResult
     run(const CompiledModel &compiled, uint64_t seed,
         std::unique_ptr<power::IrState> *carry = nullptr) const;
-
-    /** Executing through the ISA engine? */
-    bool usesIsa() const;
 
   private:
     double workScale;
@@ -374,8 +339,8 @@ class ArtifactMeta
      * GangSpecs, memoized scheduling keys.  On a heterogeneous fleet
      * single-chip artifacts compile per fitting SKU class
      * (QueuedRequest::compiledByClass) and gang artifacts compile
-     * against their slot SKUs; a model that fits no configured SKU
-     * is fatal (the trace cannot be served).
+     * against their slot SKUs; a model that fits no chip the fleet
+     * instantiates is fatal (the trace cannot be served).
      */
     QueuedRequest annotate(const Request &request, ModelCache &cache);
 
@@ -429,12 +394,11 @@ class ArtifactMeta
 };
 
 /**
- * Per-member preparation of a gang dispatch, the loop the Fleet
- * replay and the streaming loop previously each carried a copy of:
- * charge every member chip its stage reload + retune (overlap does
- * not apply -- gang members load different stage weights than the
- * single-chip artifact that left the tail window), account usage,
- * and rewrite the member's resident/level/overlap state.
+ * Per-member preparation of a gang dispatch: charge every member
+ * chip its stage reload + retune (overlap does not apply -- gang
+ * members load different stage weights than the single-chip
+ * artifact that left the tail window), account usage, and rewrite
+ * the member's resident/level/overlap state.
  *
  * @return the gang's preparation time [us]: the slowest member's
  *         reload + retune (members prepare in parallel)

@@ -1,14 +1,9 @@
 #include "serve/Fleet.hh"
 
-#include <algorithm>
 #include <set>
 
-#include "exec/ExecPool.hh"
-#include "serve/Dispatch.hh"
-#include "sim/Runtime.hh"
+#include "stream/EventLoop.hh"
 #include "util/Logging.hh"
-#include "util/Rng.hh"
-#include "util/Stats.hh"
 #include "workload/ModelZoo.hh"
 
 namespace aim::serve
@@ -120,359 +115,34 @@ validateFleetConfig(const FleetConfig &fcfg)
     return {};
 }
 
+FleetConfig
+resolveDerivedCosts(FleetConfig fcfg)
+{
+    if (fcfg.options.isaLoadUsPerMword < 0.0)
+        fcfg.options.isaLoadUsPerMword = fcfg.reloadUsPerMweight;
+    if (fcfg.options.isaRetuneUs < 0.0)
+        fcfg.options.isaRetuneUs = fcfg.retuneUsPerStep;
+    return fcfg;
+}
+
 Fleet::Fleet(const pim::PimConfig &cfg, const power::Calibration &cal,
              const FleetConfig &fcfg)
-    : cfg(cfg), cal(cal), fcfg(fcfg)
+    : cfg(cfg), cal(cal), fcfg(resolveDerivedCosts(fcfg))
 {
     const std::string problem = validateFleetConfig(fcfg);
     if (!problem.empty())
         aim_fatal("invalid FleetConfig: ", problem);
-    // Resolve the "derive" sentinel: the fleet's whole-model reload
-    // pricing is the single source of truth for the instruction-grain
-    // costs (see FleetConfig::reloadUsPerMweight).
-    if (this->fcfg.options.isaLoadUsPerMword < 0.0)
-        this->fcfg.options.isaLoadUsPerMword =
-            this->fcfg.reloadUsPerMweight;
-    if (this->fcfg.options.isaRetuneUs < 0.0)
-        this->fcfg.options.isaRetuneUs = this->fcfg.retuneUsPerStep;
 }
 
 ServeReport
 Fleet::serve(const std::vector<Request> &trace, ModelCache &cache)
 {
-    ServeReport rep;
-    rep.policy = fcfg.policy;
-    rep.backend = fcfg.options.irBackend;
-    rep.isa = fcfg.options.useIsa;
-    rep.chips.resize(fcfg.chips);
-    if (trace.empty())
-        return rep;
-
-    const double work_scale = fcfg.options.workScale;
-    const long cache_hits = cache.hits();
-    const long cache_misses = cache.misses();
-    const long cache_evictions = cache.evictions();
-
-    // Annotate the trace with artifacts and scheduling keys.  The
-    // cache makes the per-model compile a one-time cost, and
-    // ArtifactMeta memoizes the per-artifact derived quantities.
-    ArtifactMeta meta(fcfg, cal);
-    std::vector<QueuedRequest> annotated;
-    annotated.reserve(trace.size());
-    for (const auto &request : trace) {
-        aim_assert(request.id >= 0 &&
-                       request.id < static_cast<long>(trace.size()),
-                   "request ids must be dense in [0, N), got ",
-                   request.id);
-        aim_assert(annotated.empty() ||
-                       request.arrivalUs >=
-                           annotated.back().request.arrivalUs,
-                   "trace must be sorted by arrival time");
-        annotated.push_back(meta.annotate(request, cache));
-    }
-
-    // Chips of one SKU class are identical and the executors are
-    // const and stateless across calls, so one instance per class
-    // executes every request (through sim::Runtime, or the ISA
-    // engine when the options say useIsa); the per-chip state below
-    // is purely the queueing simulation's.  A homogeneous fleet has
-    // exactly one class -- the constructor (cfg, cal) pair -- and
-    // takes the same code path as before SKUs existed.  The
-    // RunConfig seed is irrelevant: every run gets a per-request
-    // seed.
-    const FleetSkus &skus = meta.fleetSkus();
-    const bool hetero = skus.heterogeneous();
-    const int nclasses = skus.classes();
-    std::vector<std::unique_ptr<const RequestExecutor>> executors;
-    if (hetero)
-        for (int cls = 0; cls < nclasses; ++cls)
-            executors.push_back(
-                std::make_unique<const RequestExecutor>(
-                    *skus.sku(cls), fcfg.options));
-    else
-        executors.push_back(std::make_unique<const RequestExecutor>(
-            cfg, cal, fcfg.options));
-    ChipPool chips(fcfg.chips);
-    if (hetero) {
-        std::vector<int> chip_class(
-            static_cast<size_t>(fcfg.chips));
-        for (int c = 0; c < fcfg.chips; ++c)
-            chip_class[static_cast<size_t>(c)] = skus.classOf(c);
-        chips.setClassOf(std::move(chip_class));
-        // A model may fit a *configured* SKU that no chip actually
-        // instantiates; that trace is unservable -- fail loudly
-        // before the dispatch loop deadlocks on it.
-        for (const auto &q : annotated) {
-            if (q.sharded)
-                continue;
-            bool anywhere = false;
-            for (int c = 0; c < fcfg.chips && !anywhere; ++c)
-                anywhere =
-                    skus.fits(skus.classOf(c), q.requiredMweight);
-            if (!anywhere)
-                aim_fatal("model '", q.request.model, "' (",
-                          q.requiredMweight,
-                          " Mweight) fits no chip of the fleet");
-        }
-    }
-
-    // Per-request runtime seeds keyed by id (not by chip), so every
-    // policy sees identical chip noise for the same request.
-    util::Rng seeder(fcfg.seed);
-    std::vector<uint64_t> request_seed(trace.size());
-    for (size_t i = 0; i < trace.size(); ++i) {
-        const uint64_t s =
-            seeder.fork(static_cast<uint64_t>(i) + 1).next();
-        request_seed[i] = s != 0 ? s : 1;
-    }
-
-    // Execute phase, the hot path.  A request's report depends only
-    // on its artifact and id-keyed seed -- not on the chips, the
-    // dispatch order, or the thread that computes it -- so requests
-    // execute concurrently on the pool (workers pull indices from a
-    // shared cursor) and the dispatch replay below merges the
-    // memoized reports in arrival order.  Sharded requests run their
-    // whole (stage, micro-batch) grid inline on the worker (the
-    // inner runtime gets one thread); the outer pool already keeps
-    // every core busy across requests.  threads = 1 runs the same
-    // loop inline: the N-thread report is bit-identical to it.
-    exec::ExecPool pool(fcfg.threads == 0 ? -1 : fcfg.threads);
-    std::vector<std::vector<ExecResult>> executed(
-        executors.size(), std::vector<ExecResult>(trace.size()));
-    std::vector<shard::ShardReport> shard_executed(trace.size());
-    pool.parallelFor(
-        static_cast<long>(annotated.size()), [&](long i) {
-            const auto &q = annotated[static_cast<size_t>(i)];
-            const auto id = static_cast<size_t>(q.request.id);
-            if (q.sharded) {
-                shard::ShardRuntimeConfig scfg;
-                scfg.microBatches =
-                    meta.gangSpec(q.request.model)->microBatches;
-                scfg.threads = 1;
-                scfg.interconnect = fcfg.interconnect;
-                const shard::ShardedRuntime sharded_rt(cfg, cal,
-                                                       scfg);
-                if (hetero) {
-                    // Each stage simulates on the chip of the SKU
-                    // class its member slot routes to.
-                    std::vector<shard::StageEnv> envs;
-                    const auto &slot_classes =
-                        meta.gangClasses(q.sharded.get());
-                    size_t slot = 0;
-                    for (const auto &stage :
-                         q.sharded->plan.stages) {
-                        const ChipSku &sku =
-                            *skus.sku(slot_classes[slot]);
-                        envs.push_back(
-                            {sku.pim, sku.cal,
-                             runConfigForSku(fcfg.options, sku)});
-                        slot += static_cast<size_t>(stage.ways);
-                    }
-                    shard_executed[id] = sharded_rt.execute(
-                        *q.sharded, request_seed[id], &envs);
-                } else {
-                    shard_executed[id] = sharded_rt.execute(
-                        *q.sharded, request_seed[id]);
-                }
-            } else if (hetero) {
-                // One run per SKU class that can host the model:
-                // the dispatch replay below consumes the one of the
-                // chip the request actually lands on.
-                for (int cls = 0; cls < nclasses; ++cls)
-                    if (q.compiledByClass[static_cast<size_t>(cls)])
-                        executed[static_cast<size_t>(cls)][id] =
-                            executors[static_cast<size_t>(cls)]
-                                ->run(*q.compiledByClass
-                                           [static_cast<size_t>(
-                                               cls)],
-                                      request_seed[id]);
-            } else {
-                executed[0][id] = executors[0]->run(
-                    *q.compiled, request_seed[id]);
-            }
-        });
-
-    const Scheduler sched(fcfg.policy);
-    rep.requests = static_cast<long>(trace.size());
-    rep.latencyUs.assign(trace.size(), 0.0);
-    rep.queueUs.assign(trace.size(), 0.0);
-
-    // Event loop: whenever the earliest-free chip can take work,
-    // advance its clock to the earliest unserved arrival (if it is
-    // idle) and let the policy pick among the requests that have
-    // actually arrived by then -- the dispatcher never sees the
-    // future, and nothing starts before it arrives.  On a
-    // heterogeneous fleet a chip only sees requests its SKU can hold
-    // (gangs stay visible everywhere: gang acquisition routes the
-    // members itself), so the chip/instant selection minimizes over
-    // per-chip eligible work; with every request eligible everywhere
-    // that reduces exactly to earliestFree() + the global earliest
-    // arrival, i.e. the legacy homogeneous loop bit-for-bit.
-    const auto eligible = [&](const QueuedRequest &q, int c) {
-        if (!hetero || q.sharded)
-            return true;
-        return skus.fits(chips.classOf(c), q.requiredMweight);
-    };
-    std::vector<QueuedRequest> pending;
-    size_t next_arrival = 0;
-    double last_completion = 0.0;
-    for (long served = 0; served < rep.requests; ++served) {
-        int c = -1;
-        double now = 0.0, c_free = 0.0;
-        for (int i = 0; i < chips.size(); ++i) {
-            double earliest_work = 1e300;
-            for (const auto &p : pending)
-                if (eligible(p, i))
-                    earliest_work = std::min(
-                        earliest_work, p.request.arrivalUs);
-            for (size_t a = next_arrival; a < annotated.size(); ++a)
-                if (eligible(annotated[a], i)) {
-                    earliest_work =
-                        std::min(earliest_work,
-                                 annotated[a].request.arrivalUs);
-                    break;
-                }
-            if (earliest_work >= 1e300)
-                continue; // nothing this chip could ever take
-            const double free_at =
-                chips.slot(i).freeAtUs;
-            const double t = std::max(free_at, earliest_work);
-            if (c < 0 || t < now ||
-                (t == now && free_at < c_free)) {
-                c = i;
-                now = t;
-                c_free = free_at;
-            }
-        }
-        aim_assert(c >= 0, "no chip can take any remaining request "
-                   "(capability deadlock)");
-        while (next_arrival < annotated.size() &&
-               annotated[next_arrival].request.arrivalUs <= now)
-            pending.push_back(annotated[next_arrival++]);
-
-        ChipContext ctx;
-        ctx.chip = c;
-        ctx.residentModel = chips.slot(c).resident;
-        ctx.safeLevel = chips.slot(c).safeLevel;
-        ctx.skuClass = chips.classOf(c);
-        std::vector<QueuedRequest> arrived;
-        std::vector<size_t> arrived_idx;
-        for (size_t i = 0; i < pending.size(); ++i)
-            if (pending[i].request.arrivalUs <= now &&
-                eligible(pending[i], c)) {
-                arrived.push_back(pending[i]);
-                arrived_idx.push_back(i);
-            }
-        const size_t idx = arrived_idx[sched.pick(arrived, ctx)];
-        const QueuedRequest q = pending[idx];
-        pending.erase(pending.begin() +
-                      static_cast<std::ptrdiff_t>(idx));
-
-        if (q.sharded) {
-            // Gang dispatch: acquire the gangChips earliest-free
-            // chips (non-backfilling -- members already free wait
-            // for the last one) and hold all of them for the
-            // pipeline makespan.  Heterogeneous gangs acquire by
-            // slot class so each stage lands on a chip that holds
-            // its share.
-            const auto &slots = meta.gangSlots(q.sharded.get());
-            const auto member =
-                hetero ? chips.acquireGang(
-                             meta.gangClasses(q.sharded.get()))
-                       : chips.acquireGang(q.gangChips);
-            aim_assert(!member.empty(),
-                       "fleet gang acquisition failed for '",
-                       q.request.model,
-                       "' (validateFleetConfig should have rejected "
-                       "this fleet)");
-            double start = now;
-            for (int m : member)
-                start = std::max(start, chips.slot(m).freeAtUs);
-
-            // Per-member stage preparation runs in parallel across
-            // the gang; the pipeline starts when the slowest member
-            // finishes reloading and retuning.
-            const auto &srep = shard_executed[q.request.id];
-            const double service = srep.makespanUs / work_scale;
-            const double prep = prepareGangMembers(
-                chips, member, slots, service,
-                fcfg.options.useBooster, cal.levelStepPct,
-                fcfg.retuneUsPerStep, rep.chips);
-            const double finish = start + prep + service;
-            for (int m : member)
-                chips.slot(m).freeAtUs = finish;
-            last_completion = std::max(last_completion, finish);
-
-            rep.latencyUs[q.request.id] =
-                finish - q.request.arrivalUs;
-            rep.queueUs[q.request.id] =
-                start - q.request.arrivalUs;
-            if (q.request.sloUs > 0.0 &&
-                rep.latencyUs[q.request.id] > q.request.sloUs)
-                ++rep.sloViolations;
-            rep.totalMacs += srep.totalMacs / work_scale;
-            rep.irFailures += srep.merged.failures;
-            rep.stallWindows += srep.merged.stallWindows;
-            ++rep.gangDispatches;
-            continue;
-        }
-
-        auto &chip = chips.slot(c);
-        auto &usage = rep.chips[c];
-        const int cls = chips.classOf(c);
-        const int safe_level =
-            hetero ? q.safeLevelByClass[static_cast<size_t>(cls)]
-                   : q.safeLevel;
-        if (hetero && !skus.fits(cls, q.requiredMweight))
-            ++rep.placementViolations;
-        const ExecResult &er =
-            executed[hetero ? static_cast<size_t>(cls) : 0]
-                    [static_cast<size_t>(q.request.id)];
-        const DispatchCost cost = dispatchCost(
-            chip, q.request.model, safe_level,
-            meta.reloadUs(q.request.model), fcfg.options.useBooster,
-            cal.levelStepPct, fcfg.retuneUsPerStep, chip.overlapUs);
-        if (cost.modelSwitch)
-            ++usage.modelSwitches;
-        rep.reloadOverlapSavedUs += cost.overlapSavedUs;
-        rep.scheduleSavedUs += er.scheduleSavedUs;
-
-        const auto &run = er.run;
-        const double service_us =
-            er.serviceNs / 1000.0 / work_scale;
-
-        const double finish =
-            now + cost.reloadUs + cost.retuneUs + service_us;
-        chip.freeAtUs = finish;
-        chip.resident = q.request.model;
-        chip.safeLevel = safe_level;
-        chip.overlapUs = er.overlapUs;
-        last_completion = std::max(last_completion, finish);
-
-        usage.busyUs += service_us;
-        usage.reloadUs += cost.reloadUs;
-        usage.retuneUs += cost.retuneUs;
-        ++usage.served;
-        rep.latencyUs[q.request.id] = finish - q.request.arrivalUs;
-        rep.queueUs[q.request.id] = now - q.request.arrivalUs;
-        if (q.request.sloUs > 0.0 &&
-            rep.latencyUs[q.request.id] > q.request.sloUs)
-            ++rep.sloViolations;
-        rep.totalMacs += run.totalMacs / work_scale;
-        rep.irFailures += run.failures;
-        rep.stallWindows += run.stallWindows;
-    }
-
-    rep.makespanUs = last_completion - trace.front().arrivalUs;
-    std::vector<double> sorted = rep.latencyUs;
-    std::sort(sorted.begin(), sorted.end());
-    rep.p50Us = util::percentileSorted(sorted, 50.0);
-    rep.p95Us = util::percentileSorted(sorted, 95.0);
-    rep.p99Us = util::percentileSorted(sorted, 99.0);
-    rep.cacheHits = cache.hits() - cache_hits;
-    rep.cacheMisses = cache.misses() - cache_misses;
-    rep.cacheEvictions = cache.evictions() - cache_evictions;
-    return rep;
+    // The default StreamConfig is the replay: no autoscaler,
+    // unbounded admission, no batching, exact service and exact
+    // latency vectors.
+    stream::StreamConfig scfg;
+    scfg.fleet = fcfg;
+    return stream::EventLoop(cfg, cal, scfg).run(trace, cache);
 }
 
 } // namespace aim::serve

@@ -22,16 +22,13 @@
  * wall times and MAC counts back to full-inference magnitudes so
  * latencies, SLOs and TOPS are in real units.
  *
- * Parallel execution (FleetConfig::threads): chip executions are the
- * hot path and every request's RunReport is a pure function of its
- * (artifact, derived seed) -- sim::Runtime::run is const and
- * stateless across calls -- so the fleet executes requests on an
- * exec::ExecPool whose workers pull request indices from a shared
- * atomic cursor, then replays the dispatch simulation serially on the
- * memoized reports, merging results in arrival order.  The
- * ServeReport is bit-identical at any thread count (enforced by
- * tests/serve/FleetParallelTest); threads = 1 is the inline serial
- * reference path.
+ * Engine: a replay is a finite, fully materialized stream, so serve()
+ * is an adapter over stream::EventLoop with every control policy off
+ * (no autoscaler, unbounded admission, no batching, exact service,
+ * exact latency vectors).  The dispatch schedule, the cost
+ * arithmetic and the concurrent request execution (FleetConfig::
+ * threads host workers, bit-identical reports at any thread count)
+ * are the EventLoop's; see stream/EventLoop.hh.
  */
 
 #ifndef AIM_SERVE_FLEET_HH
@@ -101,9 +98,9 @@ struct FleetConfig
      * Single source of truth for the reload link: when
      * options.isaLoadUsPerMword / isaRetuneUs carry their negative
      * "derive" sentinel, the serving engines copy this value (and
-     * retuneUsPerStep) into the options at construction, so the
-     * instruction-grain costs and the whole-model dispatch costs
-     * price the same link.
+     * retuneUsPerStep) into the options at construction
+     * (resolveDerivedCosts), so the instruction-grain costs and the
+     * whole-model dispatch costs price the same link.
      */
     double reloadUsPerMweight = 8.0;
     /** Booster V-f retune cost per safe-level step [us]. */
@@ -147,16 +144,22 @@ struct FleetConfig
  */
 std::string validateFleetConfig(const FleetConfig &fcfg);
 
+/**
+ * @p fcfg with the negative "derive" sentinel of
+ * options.isaLoadUsPerMword / isaRetuneUs replaced by
+ * reloadUsPerMweight / retuneUsPerStep (see
+ * FleetConfig::reloadUsPerMweight).  Idempotent.
+ */
+FleetConfig resolveDerivedCosts(FleetConfig fcfg);
+
 /** Simulates serving a request trace on a fleet of AIM chips. */
 class Fleet
 {
   public:
     /**
-     * Fatal on an invalid @p fcfg.  The stored config resolves the
-     * negative "derive" sentinel of options.isaLoadUsPerMword /
-     * isaRetuneUs from reloadUsPerMweight / retuneUsPerStep (see
-     * FleetConfig::reloadUsPerMweight); config() returns the
-     * resolved values.  On a heterogeneous fleet (fcfg.skus set)
+     * Fatal on an invalid @p fcfg.  The stored config is
+     * resolveDerivedCosts(fcfg); config() returns the resolved
+     * values.  On a heterogeneous fleet (fcfg.skus set)
      * @p cfg and @p cal are ignored in favour of the per-chip SKUs.
      */
     Fleet(const pim::PimConfig &cfg, const power::Calibration &cal,
@@ -165,9 +168,11 @@ class Fleet
     /**
      * Serve a trace to completion (non-preemptive, chip-exclusive).
      * Artifacts come from @p cache, compiled on first use; the trace
-     * must be sorted by arrival time (generateTrace output is).
-     * Chip executions run on FleetConfig::threads host workers; the
-     * returned report is bit-identical at any thread count.
+     * must be sorted by arrival time with ids in [0, N)
+     * (generateTrace output is).  Chip executions run on
+     * FleetConfig::threads host workers; the returned report is
+     * bit-identical at any thread count.  A model that fits no chip
+     * of the fleet is fatal.
      *
      * Requests for a FleetConfig::gangs model execute sharded: the
      * fleet acquires the gang's chips atomically (start waits for

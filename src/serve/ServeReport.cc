@@ -15,18 +15,35 @@ ChipUsage::utilization(double makespan_us) const
     return makespan_us > 0.0 ? busyUs / makespan_us : 0.0;
 }
 
+namespace
+{
+
+/** Latencies of the requests that completed (a stream's shed
+ * requests hold -1). */
+std::vector<double>
+completedLatencies(const std::vector<double> &latency_us)
+{
+    std::vector<double> out;
+    out.reserve(latency_us.size());
+    for (const double l : latency_us)
+        if (l >= 0.0)
+            out.push_back(l);
+    return out;
+}
+
+} // namespace
+
 double
 ServeReport::latencyPercentile(double p) const
 {
-    if (latencyUs.empty())
-        return 0.0;
-    return util::percentile(latencyUs, p);
+    const std::vector<double> done = completedLatencies(latencyUs);
+    return done.empty() ? 0.0 : util::percentile(done, p);
 }
 
 double
 ServeReport::meanLatencyUs() const
 {
-    return util::mean(latencyUs);
+    return util::mean(completedLatencies(latencyUs));
 }
 
 double
@@ -56,7 +73,6 @@ ServeReport::totalModelSwitches() const
 std::string
 ServeReport::render() const
 {
-    std::ostringstream os;
     char line[160];
     std::snprintf(line, sizeof(line),
                   "policy %s [%s droop]: %ld requests in %.2f ms "
@@ -64,11 +80,18 @@ ServeReport::render() const
                   policyName(policy), power::irBackendName(backend),
                   requests, makespanUs / 1e3, throughputRps(),
                   aggregateTops());
-    os << line;
+    return line + renderBody(meanLatencyUs());
+}
+
+std::string
+ServeReport::renderBody(double mean_us) const
+{
+    std::ostringstream os;
+    char line[160];
     std::snprintf(line, sizeof(line),
                   "latency  p50 %.1f us  p95 %.1f us  p99 %.1f us  "
                   "mean %.1f us\n",
-                  p50Us, p95Us, p99Us, meanLatencyUs());
+                  p50Us, p95Us, p99Us, mean_us);
     os << line;
     std::snprintf(line, sizeof(line),
                   "SLO violations %ld/%ld  model switches %ld  "

@@ -36,7 +36,10 @@ struct ChipUsage
     double utilization(double makespanUs) const;
 };
 
-/** Everything a Fleet::serve run produces. */
+/**
+ * Everything a Fleet::serve replay produces; also the base of
+ * stream::StreamReport, which adds the stream-only accounting.
+ */
 struct ServeReport
 {
     SchedPolicy policy = SchedPolicy::Fcfs;
@@ -50,11 +53,13 @@ struct ServeReport
     /** Scheduled-vs-in-order makespan savings summed over requests
      * [us] (isaSchedule artifacts only; 0 otherwise). */
     double scheduleSavedUs = 0.0;
-    /** Requests served. */
+    /** Requests served (completed). */
     long requests = 0;
     /** First arrival to last completion [us]. */
     double makespanUs = 0.0;
-    /** End-to-end latency per request, indexed by request id [us]. */
+    /** End-to-end latency per request, indexed by request id [us]
+     * (a stream's shed requests hold -1; empty in a stream's
+     * histogram latency mode). */
     std::vector<double> latencyUs;
     /** Queueing delay per request, indexed by request id [us]. */
     std::vector<double> queueUs;
@@ -81,15 +86,16 @@ struct ServeReport
     /** Per-chip usage, indexed by chip id. */
     std::vector<ChipUsage> chips;
 
-    /** Latency percentiles, precomputed by the fleet [us]. */
+    /** Latency percentiles, precomputed by the engine [us]. */
     double p50Us = 0.0;
     double p95Us = 0.0;
     double p99Us = 0.0;
 
-    /** Any latency percentile [us] (p in [0, 100]). */
+    /** Any latency percentile over the completed requests [us]
+     * (p in [0, 100]). */
     double latencyPercentile(double p) const;
 
-    /** Mean end-to-end latency [us]. */
+    /** Mean end-to-end latency of the completed requests [us]. */
     double meanLatencyUs() const;
 
     /** Served requests per second of makespan. */
@@ -103,6 +109,14 @@ struct ServeReport
 
     /** Human-readable summary (tables + headline lines). */
     std::string render() const;
+
+  protected:
+    /**
+     * The summary below the headline that every serving report
+     * shares: latency (with @p meanUs as its mean), SLO and fault
+     * counts, gang and ISA lines, and the per-chip usage table.
+     */
+    std::string renderBody(double meanUs) const;
 };
 
 } // namespace aim::serve

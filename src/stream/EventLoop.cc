@@ -1,6 +1,7 @@
 #include "stream/EventLoop.hh"
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <queue>
 #include <vector>
@@ -21,6 +22,10 @@ namespace aim::stream
 namespace
 {
 
+/** Not-yet-arrived requests the exact-service lookahead draws from
+ * the source (see EventLoop.hh). */
+constexpr size_t kLookahead = 256;
+
 /** FNV-1a of a model name: the per-model tag of the sampled-service
  * seed stream. */
 uint64_t
@@ -35,8 +40,8 @@ modelTag(const std::string &name)
 }
 
 /** Heap event.  At equal times completions land before arrivals
- * (freed chips are dispatchable to requests arriving that instant,
- * matching the Fleet replay) and control ticks run last. */
+ * (freed chips are dispatchable to requests arriving that instant)
+ * and control ticks run last. */
 struct Event
 {
     enum Kind
@@ -104,17 +109,13 @@ class LatencyWindow
     size_t filled = 0;
 };
 
-} // namespace
-
+/** validateStreamConfig without the lazy source's trace. */
 std::string
-validateStreamConfig(const StreamConfig &scfg)
+validateEngineConfig(const StreamConfig &scfg)
 {
     const std::string fleet = serve::validateFleetConfig(scfg.fleet);
     if (!fleet.empty())
         return util::detail::concat("fleet: ", fleet);
-    const std::string trace = serve::validateTraceConfig(scfg.trace);
-    if (!trace.empty())
-        return util::detail::concat("trace: ", trace);
     const std::string scaler =
         validateAutoscalerConfig(scfg.autoscaler);
     if (!scaler.empty())
@@ -154,31 +155,69 @@ validateStreamConfig(const StreamConfig &scfg)
     return {};
 }
 
+} // namespace
+
+std::string
+validateStreamConfig(const StreamConfig &scfg)
+{
+    const std::string engine = validateEngineConfig(scfg);
+    if (!engine.empty())
+        return engine;
+    const std::string trace = serve::validateTraceConfig(scfg.trace);
+    if (!trace.empty())
+        return util::detail::concat("trace: ", trace);
+    return {};
+}
+
 EventLoop::EventLoop(const pim::PimConfig &cfg,
                      const power::Calibration &cal,
                      const StreamConfig &scfg)
     : cfg(cfg), cal(cal), scfg(scfg)
 {
-    const std::string problem = validateStreamConfig(scfg);
+    const std::string problem = validateEngineConfig(scfg);
     if (!problem.empty())
         aim_fatal("invalid StreamConfig: ", problem);
-    // Resolve the "derive" sentinel exactly like serve::Fleet: the
-    // fleet's whole-model reload pricing is the single source of
-    // truth for the instruction-grain costs.
-    serve::FleetConfig &fleet = this->scfg.fleet;
-    if (fleet.options.isaLoadUsPerMword < 0.0)
-        fleet.options.isaLoadUsPerMword = fleet.reloadUsPerMweight;
-    if (fleet.options.isaRetuneUs < 0.0)
-        fleet.options.isaRetuneUs = fleet.retuneUsPerStep;
+    this->scfg.fleet = serve::resolveDerivedCosts(scfg.fleet);
 }
 
 StreamReport
 EventLoop::run(serve::ModelCache &cache)
 {
+    TraceSource source(scfg.trace);
+    return serveStream(scfg.maxRequests > 0 ? scfg.maxRequests
+                                            : scfg.trace.requests,
+                       [&source] { return source.next(); }, cache);
+}
+
+StreamReport
+EventLoop::run(const std::vector<serve::Request> &trace,
+               serve::ModelCache &cache)
+{
+    const long n = static_cast<long>(trace.size());
+    size_t i = 0;
+    return serveStream(
+        n,
+        [&] {
+            const serve::Request &request = trace[i];
+            aim_assert(request.id >= 0 && request.id < n,
+                       "request ids must be dense in [0, N), got ",
+                       request.id);
+            aim_assert(i == 0 ||
+                           request.arrivalUs >= trace[i - 1].arrivalUs,
+                       "trace must be sorted by arrival time");
+            ++i;
+            return request;
+        },
+        cache);
+}
+
+StreamReport
+EventLoop::serveStream(long horizon,
+                       const std::function<serve::Request()> &next,
+                       serve::ModelCache &cache)
+{
     const serve::FleetConfig &fcfg = scfg.fleet;
     const double work_scale = fcfg.options.workScale;
-    const long horizon =
-        scfg.maxRequests > 0 ? scfg.maxRequests : scfg.trace.requests;
     const bool exact_service =
         scfg.serviceSamples == 0 && !scfg.transientCarry;
 
@@ -191,7 +230,6 @@ EventLoop::run(serve::ModelCache &cache)
     const long cache_misses = cache.misses();
     const long cache_evictions = cache.evictions();
 
-    TraceSource source(scfg.trace);
     serve::ArtifactMeta meta(fcfg, cal);
     const serve::FleetSkus &skus = meta.fleetSkus();
     const bool hetero = skus.heterogeneous();
@@ -263,8 +301,8 @@ EventLoop::run(serve::ModelCache &cache)
                pool.deactivateOne(min_active))
             ;
 
-    // Id-keyed request seeds, identical to the Fleet replay's:
-    // every policy / engine sees the same chip noise per request.
+    // Id-keyed request seeds: every policy sees the same chip noise
+    // per request.
     const util::Rng seeder(fcfg.seed);
     const auto request_seed = [&seeder](long id) {
         const uint64_t s =
@@ -273,10 +311,10 @@ EventLoop::run(serve::ModelCache &cache)
     };
 
     // Exact-service memoization: reports land keyed by (id, SKU
-    // class) when the batch prefetch executes them and are consumed
-    // (erased) at dispatch, so the map never outgrows the pending
-    // queue times the class count.  Homogeneous fleets always key
-    // class 0 -- one report per id, exactly as before.
+    // class) when prefetch executes them and are erased at dispatch
+    // or shedding, so the map never outgrows the pending queue plus
+    // the lookahead, times the class count.  Homogeneous fleets
+    // always key class 0.
     std::map<std::pair<long, int>, serve::ExecResult> ready;
     std::map<long, shard::ShardReport> shard_ready;
     // Sampled-service pools, keyed by (model, SKU class).
@@ -296,7 +334,13 @@ EventLoop::run(serve::ModelCache &cache)
     std::priority_queue<Event, std::vector<Event>, EventAfter> heap;
     long seq = 0;
     std::vector<serve::QueuedRequest> pending;
-    serve::Request next_req;
+    // Requests drawn from the source that have not arrived yet; the
+    // front is the next arrival.  Only the exact-service lookahead
+    // holds more than one.
+    std::deque<serve::Request> ahead;
+    // The last admitted request of each model: the artifacts the
+    // lookahead executes not-yet-arrived requests against.
+    std::map<std::string, serve::QueuedRequest> last_admitted;
     long generated = 0;
     long completed = 0;
     double first_arrival = 0.0;
@@ -329,11 +373,12 @@ EventLoop::run(serve::ModelCache &cache)
     };
 
     // Execute every pending request that lacks a memoized report,
-    // concurrently on the pool.  Reports are pure functions of
-    // (artifact, id-keyed seed), so neither the thread count nor the
-    // prefetch batching changes a single bit of them.  Heterogeneous
-    // single-chip requests prefetch one report per SKU class that
-    // can host them (the dispatcher consumes the landing chip's).
+    // and with it the lookahead (EventLoop.hh), concurrently on the
+    // pool.  Reports are pure functions of (artifact, id-keyed seed),
+    // so neither the thread count nor the batching changes a single
+    // bit of them.  Heterogeneous single-chip requests prefetch one
+    // report per SKU class that can host them (the dispatcher
+    // consumes the landing chip's).
     const auto prefetch = [&]() {
         struct Job
         {
@@ -341,7 +386,7 @@ EventLoop::run(serve::ModelCache &cache)
             int cls;
         };
         std::vector<Job> todo;
-        for (const auto &q : pending) {
+        const auto add_jobs = [&](const serve::QueuedRequest &q) {
             const long id = q.request.id;
             if (q.sharded) {
                 if (!shard_ready.count(id))
@@ -355,9 +400,25 @@ EventLoop::run(serve::ModelCache &cache)
             } else if (!ready.count({id, 0})) {
                 todo.push_back({&q, 0});
             }
-        }
+        };
+        for (const auto &q : pending)
+            add_jobs(q);
         if (todo.empty())
             return;
+        while (ahead.size() < kLookahead &&
+               generated + static_cast<long>(ahead.size()) < horizon)
+            ahead.push_back(next());
+        std::vector<serve::QueuedRequest> early;
+        early.reserve(ahead.size());
+        for (const auto &r : ahead) {
+            const auto it = last_admitted.find(r.model);
+            if (it == last_admitted.end())
+                continue;
+            early.push_back(it->second);
+            early.back().request = r;
+        }
+        for (const auto &q : early)
+            add_jobs(q);
         std::vector<serve::ExecResult> runs(todo.size());
         std::vector<shard::ShardReport> shard_runs(todo.size());
         exec.parallelFor(
@@ -455,9 +516,9 @@ EventLoop::run(serve::ModelCache &cache)
     };
 
     // Dispatch one request (and, with batching, its same-model
-    // followers) on chip c at time now.  The arithmetic is the
-    // Fleet replay's, via the shared serve/Dispatch layer.  Returns
-    // false when nothing in the queue is eligible for this chip.
+    // followers) on chip c at time now, with the serve/Dispatch cost
+    // arithmetic.  Returns false when nothing in the queue is
+    // eligible for this chip.
     const auto dispatch_one = [&](int c, double now) -> bool {
         serve::ChipContext ctx;
         ctx.chip = c;
@@ -634,7 +695,10 @@ EventLoop::run(serve::ModelCache &cache)
                            " dispatched without a prefetched "
                            "report");
                 const auto res = std::move(it->second);
-                ready.erase(it);
+                // The landing class's report is consumed; the other
+                // classes' ones are dropped with it.
+                for (int k = 0; k < nclasses; ++k)
+                    ready.erase({id, k});
                 service_us =
                     res.serviceNs / 1000.0 / work_scale;
                 rep.totalMacs += res.run.totalMacs / work_scale;
@@ -692,10 +756,9 @@ EventLoop::run(serve::ModelCache &cache)
     };
 
     if (horizon > 0) {
-        next_req = source.next();
-        first_arrival = next_req.arrivalUs;
-        heap.push(
-            Event{next_req.arrivalUs, Event::Arrival, ++seq, 0.0});
+        ahead.push_back(next());
+        first_arrival = ahead.front().arrivalUs;
+        heap.push(Event{first_arrival, Event::Arrival, ++seq, 0.0});
     }
     if (scfg.controlTickUs > 0.0)
         heap.push(Event{scfg.controlTickUs, Event::ControlTick,
@@ -706,7 +769,7 @@ EventLoop::run(serve::ModelCache &cache)
         // Drain every event of this instant (completions, then
         // arrivals, then ticks) before dispatching, so the
         // dispatcher sees exactly the requests that have arrived by
-        // now -- the Fleet replay's admission rule.
+        // now.
         while (!heap.empty() && heap.top().tUs == now) {
             const Event ev = heap.top();
             heap.pop();
@@ -719,14 +782,25 @@ EventLoop::run(serve::ModelCache &cache)
                 break;
 
               case Event::Arrival: {
+                const serve::Request request = ahead.front();
+                ahead.pop_front();
                 if (admission.admit(
-                        static_cast<long>(pending.size())))
-                    pending.push_back(
-                        meta.annotate(next_req, cache));
+                        static_cast<long>(pending.size()))) {
+                    pending.push_back(meta.annotate(request, cache));
+                    if (exact_service)
+                        last_admitted[request.model] = pending.back();
+                } else {
+                    // A shed request never dispatches: drop what the
+                    // lookahead executed for it.
+                    for (int cls = 0; cls < nclasses; ++cls)
+                        ready.erase({request.id, cls});
+                    shard_ready.erase(request.id);
+                }
                 ++generated;
                 if (generated < horizon) {
-                    next_req = source.next();
-                    heap.push(Event{next_req.arrivalUs,
+                    if (ahead.empty())
+                        ahead.push_back(next());
+                    heap.push(Event{ahead.front().arrivalUs,
                                     Event::Arrival, ++seq, 0.0});
                 }
                 break;
@@ -760,6 +834,9 @@ EventLoop::run(serve::ModelCache &cache)
         dispatch_all(now);
     }
 
+    aim_assert(ready.empty() && shard_ready.empty(),
+               ready.size() + shard_ready.size(),
+               " memoized reports outlived the run");
     rep.arrivals = generated;
     rep.admitted = admission.admitted();
     rep.shed = admission.shed();
@@ -780,14 +857,13 @@ EventLoop::run(serve::ModelCache &cache)
                 sorted.push_back(l);
                 sum += l;
             }
-        std::sort(sorted.begin(), sorted.end());
-        rep.p50Us = util::percentileSorted(sorted, 50.0);
-        rep.p95Us = util::percentileSorted(sorted, 95.0);
-        rep.p99Us = util::percentileSorted(sorted, 99.0);
-        rep.meanUs =
-            sorted.empty()
-                ? 0.0
-                : sum / static_cast<double>(sorted.size());
+        if (!sorted.empty()) {
+            std::sort(sorted.begin(), sorted.end());
+            rep.p50Us = util::percentileSorted(sorted, 50.0);
+            rep.p95Us = util::percentileSorted(sorted, 95.0);
+            rep.p99Us = util::percentileSorted(sorted, 99.0);
+            rep.meanUs = sum / static_cast<double>(sorted.size());
+        }
         rep.latencyUs = std::move(exact_lat);
         rep.queueUs = std::move(exact_queue);
     }

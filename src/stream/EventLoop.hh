@@ -2,13 +2,14 @@
  * @file
  * Long-lived discrete-event serving engine.
  *
- * serve::Fleet replays a finite, fully materialized trace; this loop
- * serves an *endless* one.  Time advances through a time-ordered
- * event heap of three event kinds:
+ * The serving layer's one dispatcher.  It serves an *endless*
+ * stream from the lazy TraceSource, or a finite, materialized trace
+ * (run(trace, cache), which serve::Fleet::serve wraps).  Time
+ * advances through a time-ordered event heap of three event kinds:
  *
- *   Arrival     -- the lazy TraceSource's next request reaches the
- *                  front door; admission control admits it into the
- *                  pending queue or sheds it
+ *   Arrival     -- the source's next request reaches the front door;
+ *                  admission control admits it into the pending
+ *                  queue or sheds it
  *   Completion  -- a dispatched request finishes; its latency lands
  *                  in the digests and the freed chip can take work
  *   ControlTick -- the periodic control plane runs: the autoscaler
@@ -17,36 +18,52 @@
  *
  * After the events of a timestamp drain, the dispatcher places
  * queued requests on free chips -- earliest-free chip first, the
- * serve::Scheduler policy picking among the queue -- until chips or
- * work run out.  Memory is bounded by the queue depth and in-flight
- * work, never by the stream length.
+ * serve::Scheduler policy picking among the requests that have
+ * arrived -- until chips or work run out.  Nothing starts before it
+ * arrives.  Memory is bounded by the queue depth, the lookahead and
+ * in-flight work, never by the stream length.
  *
- * Equivalence contract: with the control policies off (no
- * autoscaler, unbounded admission, no batching, exact service), the
- * dispatch schedule is the same greedy earliest-free-chip schedule
- * as serve::Fleet::serve -- dispatch times, chip choices, gang
- * acquisition and cost arithmetic included (both sides share
- * serve/Dispatch for exactly this reason) -- so a finite horizon
- * reproduces the Fleet's ServeReport latency vector bit-for-bit
- * (tests/stream/EventLoopTest).  Request execution reuses the
- * id-keyed seeds and per-request RunReport memoization, evaluated
- * concurrently on an exec::ExecPool with reports merged in dispatch
- * order, so reports are also bit-identical across --threads counts.
+ * Replay equivalence: serve::Fleet::serve is this loop with the
+ * control policies off (no autoscaler, unbounded admission, no
+ * batching, exact service, exact latencies), so a Fleet replay and
+ * a finite stream of the same requests produce the same report by
+ * construction.  The replay digests in tests/serve/FleetTest pin
+ * that report to the one the former dedicated replay loop produced.
+ *
+ * Determinism: request execution uses id-keyed seeds and memoizes
+ * each request's RunReport, evaluated concurrently on an
+ * exec::ExecPool and consumed in dispatch order, so reports are
+ * bit-identical across FleetConfig::threads counts.
  *
  * Service-time modes: exact (every request executes on the chip
- * model; the equivalence mode) and sampled (per model, K seeded
+ * model; the replay mode) and sampled (per model, K seeded
  * RunReports are drawn once and requests sample among them by their
  * id-keyed seed) -- the latter is what makes a day-long million-
  * request bench tractable while keeping per-request variation.
  * With StreamConfig::transientCarry, requests execute serially at
  * dispatch and thread each chip's settled electrical state into the
  * next request on that chip (power::IrState burst continuity).
+ *
+ * Exact-service lookahead: a lightly loaded fleet dispatches most
+ * requests alone, so executing only the queued requests would run
+ * one request per ExecPool fan-out.  Whenever a queued request lacks
+ * its report, the loop therefore also draws up to a fixed number of
+ * not-yet-arrived requests (256) from the source and executes, in
+ * the same fan-out, every one whose model already has an artifact:
+ * the artifact of the last admitted request of that model (per SKU
+ * class, or the gang artifact), so the lookahead never touches the
+ * ModelCache and cache counters count admitted lookups only.
+ * Reports are pure functions of (artifact, id-keyed seed), so the
+ * lookahead changes no bit of any report; the report of a request
+ * that admission sheds is dropped.
  */
 
 #ifndef AIM_STREAM_EVENTLOOP_HH
 #define AIM_STREAM_EVENTLOOP_HH
 
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "serve/Fleet.hh"
 #include "serve/ModelCache.hh"
@@ -83,7 +100,7 @@ struct StreamConfig
     int maxBatch = 4;
     /**
      * 0 = exact service (every request executes on the chip model;
-     * required for Fleet equivalence).  K > 0 = sampled service:
+     * the Fleet replay's mode).  K > 0 = sampled service:
      * per model, K id-seeded RunReports are executed once and each
      * request draws one by its request seed.
      */
@@ -110,19 +127,37 @@ std::string validateStreamConfig(const StreamConfig &scfg);
 class EventLoop
 {
   public:
-    /** Fatal on an invalid StreamConfig. */
+    /**
+     * Fatal on an invalid StreamConfig, except for its trace: that is
+     * checked when run(cache) builds the source, since a replay
+     * (run(trace, cache)) does not use it.  Resolves the fleet's
+     * derived costs (serve::resolveDerivedCosts).
+     */
     EventLoop(const pim::PimConfig &cfg,
               const power::Calibration &cal,
               const StreamConfig &scfg);
 
     /**
-     * Stream the configured horizon to completion.  Artifacts come
-     * from @p cache (shared and warm across runs); the report's
-     * cache counters are deltas over this run.
+     * Stream the configured horizon from the lazy TraceSource to
+     * completion.  Artifacts come from @p cache (shared and warm
+     * across runs); the report's cache counters are deltas over
+     * this run.
      */
     StreamReport run(serve::ModelCache &cache);
 
+    /**
+     * Serve a finite @p trace to completion instead of the lazy
+     * source (StreamConfig::trace and maxRequests are unused).  The
+     * trace must be sorted by arrival time, with ids in [0, N).
+     */
+    StreamReport run(const std::vector<serve::Request> &trace,
+                     serve::ModelCache &cache);
+
   private:
+    StreamReport serveStream(long horizon,
+                             const std::function<serve::Request()> &next,
+                             serve::ModelCache &cache);
+
     pim::PimConfig cfg;
     power::Calibration cal;
     StreamConfig scfg;

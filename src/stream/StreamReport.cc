@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "util/Table.hh"
-
 namespace aim::stream
 {
 
@@ -48,12 +46,6 @@ StreamReport::shedRate() const
     return arrivals > 0 ? static_cast<double>(shed) / arrivals : 0.0;
 }
 
-double
-StreamReport::throughputRps() const
-{
-    return makespanUs > 0.0 ? requests / (makespanUs / 1e6) : 0.0;
-}
-
 std::string
 StreamReport::render() const
 {
@@ -69,57 +61,15 @@ StreamReport::render() const
                   makespanUs / 1e3, throughputRps());
     os << line;
     std::snprintf(line, sizeof(line),
-                  "latency  p50 %.1f us  p95 %.1f us  p99 %.1f us  "
-                  "mean %.1f us\n",
-                  p50Us, p95Us, p99Us, meanUs);
-    os << line;
-    std::snprintf(line, sizeof(line),
-                  "SLO violations %ld/%ld  IRFailures %ld  stall "
-                  "windows %ld\n",
-                  sloViolations, requests, irFailures, stallWindows);
-    os << line;
-    std::snprintf(line, sizeof(line),
-                  "control  scale-ups %ld  scale-downs %ld  gang "
-                  "dispatches %ld  batched requests %ld\n",
-                  scaleUps, scaleDowns, gangDispatches,
-                  batchedRequests);
+                  "control  scale-ups %ld  scale-downs %ld  batched "
+                  "requests %ld\n",
+                  scaleUps, scaleDowns, batchedRequests);
     os << line;
     std::snprintf(line, sizeof(line),
                   "model cache  hits %ld  misses %ld  evictions "
                   "%ld\n",
                   cacheHits, cacheMisses, cacheEvictions);
-    os << line;
-    if (isa) {
-        std::snprintf(line, sizeof(line),
-                      "isa engine: reload overlap saved %.1f us "
-                      "across model switches\n",
-                      reloadOverlapSavedUs);
-        os << line;
-        if (scheduleSavedUs > 0.0) {
-            std::snprintf(line, sizeof(line),
-                          "isa scheduler: %.1f us makespan saved "
-                          "vs in-order issue\n",
-                          scheduleSavedUs);
-            os << line;
-        }
-    }
-
-    util::Table t("per-chip usage");
-    t.setHeader({"chip", "served", "busy %", "reload %", "retune %",
-                 "switches"});
-    for (size_t c = 0; c < chips.size(); ++c) {
-        const auto &u = chips[c];
-        t.addRow({std::to_string(c), std::to_string(u.served),
-                  util::Table::pct(u.utilization(makespanUs)),
-                  util::Table::pct(makespanUs > 0.0
-                                       ? u.reloadUs / makespanUs
-                                       : 0.0),
-                  util::Table::pct(makespanUs > 0.0
-                                       ? u.retuneUs / makespanUs
-                                       : 0.0),
-                  std::to_string(u.modelSwitches)});
-    }
-    os << t.render();
+    os << line << renderBody(meanUs);
     return os.str();
 }
 

@@ -6,13 +6,12 @@
  *
  * Latency lives in one of two digests, chosen by the engine's
  * config.  Exact mode keeps per-request latency/queue vectors
- * indexed by request id -- what the finite-horizon equivalence
- * tests compare bit-for-bit against serve::ServeReport.  Histogram
- * mode folds every completion into fixed log-spaced buckets, so a
- * day-long stream of millions of requests reports percentiles in
- * O(1) memory (the bench's bounded-RSS requirement); percentiles
- * are then bucket-resolution approximations (~9% worst-case,
- * 2^(1/8) bucket ratio).
+ * indexed by request id (serve::ServeReport's; a Fleet replay is an
+ * exact-mode stream).  Histogram mode folds every completion into
+ * fixed log-spaced buckets, so a day-long stream of millions of
+ * requests reports percentiles in O(1) memory (the bench's
+ * bounded-RSS requirement); percentiles are then bucket-resolution
+ * approximations (~9% worst-case, 2^(1/8) bucket ratio).
  */
 
 #ifndef AIM_STREAM_STREAMREPORT_HH
@@ -22,8 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "power/IrBackend.hh"
-#include "serve/Scheduler.hh"
 #include "serve/ServeReport.hh"
 
 namespace aim::stream
@@ -74,44 +71,20 @@ struct ControlSample
     double shedRate = 0.0;
 };
 
-/** Everything an EventLoop::run produces. */
-struct StreamReport
+/**
+ * Everything an EventLoop::run produces: the serve::ServeReport every
+ * serving engine fills (a Fleet replay is this report sliced to its
+ * base) plus the stream-only admission, control-plane and batching
+ * accounting.
+ */
+struct StreamReport : serve::ServeReport
 {
-    serve::SchedPolicy policy = serve::SchedPolicy::Fcfs;
-    power::IrBackendKind backend = power::IrBackendKind::Analytic;
-    /** Executions ran on the instruction-level ISA engine. */
-    bool isa = false;
-    /** Reload time hidden under trailing compute on model switches
-     * [us] (ISA path only; 0 on the round-level path). */
-    double reloadOverlapSavedUs = 0.0;
-    /** Scheduled-vs-in-order makespan savings summed over requests
-     * [us] (isaSchedule artifacts only; 0 otherwise). */
-    double scheduleSavedUs = 0.0;
-
     /** Arrivals generated (admitted + shed). */
     long arrivals = 0;
     /** Requests admitted past admission control. */
     long admitted = 0;
     /** Requests shed at admission. */
     long shed = 0;
-    /** Requests completed (== admitted when the run drains). */
-    long requests = 0;
-    /** First arrival to last completion [us]. */
-    double makespanUs = 0.0;
-    /** Completions whose latency exceeded their SLO. */
-    long sloViolations = 0;
-    /** Full-inference MAC work served (workScale extrapolated). */
-    double totalMacs = 0.0;
-    /** IRFailures raised across all request executions. */
-    long irFailures = 0;
-    /** Runtime windows lost to recompute / V-f settling. */
-    long stallWindows = 0;
-    /** Requests dispatched to multi-chip gangs. */
-    long gangDispatches = 0;
-    /** Requests placed on a chip whose SKU cannot hold their model
-     * (always 0 when capability-aware placement works; the
-     * heterogeneous-fleet test suites assert on it). */
-    long placementViolations = 0;
     /** Chips reactivated on demand because a gang arrived while the
      * autoscaler had shrunk its capable chips below the gang size
      * (the recovery path of the acquireGang crash fix). */
@@ -122,39 +95,14 @@ struct StreamReport
     /** Autoscaler grow / shrink actions taken. */
     long scaleUps = 0;
     long scaleDowns = 0;
-    /** ModelCache counter deltas over the run. */
-    long cacheHits = 0;
-    long cacheMisses = 0;
-    long cacheEvictions = 0;
-
-    /** Per-chip usage, indexed by chip id (all chips, active or
-     * not). */
-    std::vector<serve::ChipUsage> chips;
-
-    /** Latency percentiles [us] (exact or histogram-approximate,
-     * per the engine's latency mode). */
-    double p50Us = 0.0;
-    double p95Us = 0.0;
-    double p99Us = 0.0;
-    /** Mean end-to-end latency [us] (exact in both modes). */
+    /** Mean end-to-end latency [us] (exact in both latency modes). */
     double meanUs = 0.0;
-
-    /**
-     * Exact per-request digests, indexed by request id; only filled
-     * in exact latency mode (empty in histogram mode).  Shed
-     * requests hold -1.
-     */
-    std::vector<double> latencyUs;
-    std::vector<double> queueUs;
 
     /** Control-tick trajectory, in tick order. */
     std::vector<ControlSample> trajectory;
 
     /** Shed fraction of all arrivals. */
     double shedRate() const;
-
-    /** Completions per second of makespan. */
-    double throughputRps() const;
 
     /** Human-readable summary (headline lines + tables). */
     std::string render() const;

@@ -17,8 +17,8 @@
  * any arrival is drawn -- and consumes them in the same per-request
  * order.  Pulling the first N requests therefore reproduces
  * generateTrace(cfg)'s first N requests bit-for-bit (ids, models,
- * arrival instants, SLOs), which is what lets the streaming engine's
- * reports be tested against the legacy Fleet replay exactly
+ * arrival instants, SLOs), which is what lets a streamed horizon be
+ * tested against the Fleet replay of the generated vector exactly
  * (tests/stream/TraceSourceTest).
  */
 

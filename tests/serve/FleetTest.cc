@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "TestUtil.hh"
 
 using namespace aim;
@@ -204,4 +207,130 @@ TEST(Fleet, RenderMentionsHeadlineNumbers)
     EXPECT_NE(text.find("sjf"), std::string::npos);
     EXPECT_NE(text.find("p99"), std::string::npos);
     EXPECT_NE(text.find("per-chip"), std::string::npos);
+}
+
+namespace
+{
+
+/**
+ * FNV-1a digest of everything a replay produces that the dispatch
+ * engine decides: the latency and queue vectors, the served MACs,
+ * the per-chip usage and the cache counters.
+ */
+uint64_t
+replayDigest(const ServeReport &rep)
+{
+    uint64_t h = 1469598103934665603ULL;
+    const auto add = [&h](const auto &value) {
+        unsigned char bytes[sizeof(value)];
+        std::memcpy(bytes, &value, sizeof(value));
+        for (const unsigned char b : bytes)
+            h = (h ^ b) * 1099511628211ULL;
+    };
+    add(rep.requests);
+    for (const double l : rep.latencyUs)
+        add(l);
+    for (const double q : rep.queueUs)
+        add(q);
+    add(rep.totalMacs);
+    for (const auto &c : rep.chips) {
+        add(c.served);
+        add(c.busyUs);
+        add(c.reloadUs);
+        add(c.retuneUs);
+        add(c.modelSwitches);
+    }
+    add(rep.cacheHits);
+    add(rep.cacheMisses);
+    add(rep.cacheEvictions);
+    return h;
+}
+
+/** Serve @p trace on a fresh cache, so the cache counters in the
+ * digest do not depend on which tests ran before. */
+uint64_t
+digestOf(const FleetConfig &fcfg, const std::vector<Request> &trace)
+{
+    AimPipeline pipe{pim::PimConfig{}, power::defaultCalibration()};
+    ModelCache cache(pipe);
+    Fleet fleet(pim::PimConfig{}, power::defaultCalibration(), fcfg);
+    const ServeReport rep = fleet.serve(trace, cache);
+    // The trace must queue somewhere, or the digest would not cover
+    // the dispatcher's choices.
+    EXPECT_GT(*std::max_element(rep.queueUs.begin(), rep.queueUs.end()),
+              0.0);
+    return replayDigest(rep);
+}
+
+std::vector<Request>
+burstyTrace(std::vector<TraceMix> mix, long requests)
+{
+    TraceConfig t;
+    t.arrivals = ArrivalKind::Bursty;
+    t.meanRatePerSec = 20000.0;
+    t.requests = requests;
+    t.seed = 7;
+    t.mix = std::move(mix);
+    return generateTrace(t);
+}
+
+} // namespace
+
+// Replay digests captured from the dedicated Fleet dispatch loop the
+// EventLoop adapter replaced: the serving engine must reproduce them
+// bit for bit.
+
+TEST(FleetDigest, HomogeneousIrAwareAnalytic)
+{
+    Fixture f;
+    FleetConfig fcfg = f.fleetConfig(SchedPolicy::IrAware);
+    fcfg.threads = 2;
+    EXPECT_EQ(digestOf(fcfg, f.trace(32)), 0xf25ec75b9d6032f3ULL);
+}
+
+TEST(FleetDigest, MeshIsaScheduled)
+{
+    Fixture f;
+    FleetConfig fcfg = f.fleetConfig(SchedPolicy::IrAware);
+    fcfg.chips = 3;
+    fcfg.threads = 2;
+    fcfg.options.irBackend = power::IrBackendKind::Mesh;
+    fcfg.options.useIsa = true;
+    fcfg.options.isaSchedule = true;
+    EXPECT_EQ(digestOf(fcfg, f.trace(24)), 0x1d27b3caad117a77ULL);
+}
+
+TEST(FleetDigest, GangFleet)
+{
+    Fixture f;
+    FleetConfig fcfg = f.fleetConfig(SchedPolicy::Sjf);
+    fcfg.chips = 4;
+    fcfg.threads = 2;
+    GangSpec gang;
+    gang.model = "ResNet18";
+    gang.partition.chips = 2;
+    gang.microBatches = 2;
+    fcfg.gangs = {gang};
+    EXPECT_EQ(digestOf(fcfg, burstyTrace({{"ResNet18", 1.0, 4000.0},
+                                          {"MobileNetV2", 1.0,
+                                           4000.0}},
+                                         16)),
+              0xb2da5d4348464470ULL);
+}
+
+TEST(FleetDigest, MixedSkuFleet)
+{
+    Fixture f;
+    FleetConfig fcfg = f.fleetConfig(SchedPolicy::IrAware);
+    fcfg.chips = 4;
+    fcfg.threads = 2;
+    ChipSku tiny = smallSku();
+    tiny.name = "tiny";
+    tiny.weightBufMweightPerMacro = 2.0;
+    fcfg.skus = {bigSku(), tiny};
+    fcfg.skuOf = {0, 1, 0, 1};
+    EXPECT_EQ(digestOf(fcfg, burstyTrace({{"ResNet18", 1.0, 4000.0},
+                                          {"ViT", 1.0, 8000.0}},
+                                         16)),
+              0x191c5364ca981dccULL);
 }

@@ -4,7 +4,9 @@
  *
  *  - equivalence: with the control policies off, a finite streamed
  *    horizon reproduces serve::Fleet's report bit for bit -- every
- *    policy, every arrival process, gangs included
+ *    policy, every arrival process, gangs included (Fleet::serve is
+ *    an adapter over this loop, so these are regressions of the
+ *    TraceSource <-> generateTrace and adapter plumbing)
  *  - determinism: the report is independent of --threads in every
  *    service mode
  *  - control: admission bounds the queue at overload, the autoscaler
@@ -226,11 +228,41 @@ TEST(EventLoop, AdmissionBoundsTheQueueAtOverload)
     ASSERT_FALSE(rep.trajectory.empty());
     for (const auto &sample : rep.trajectory)
         EXPECT_LE(sample.queueDepth, scfg.admission.maxQueueDepth);
-    // Shed requests carry the -1 sentinel in the exact digests.
+    // Shed requests carry the -1 sentinel in the exact digests, and
+    // the ServeReport latency helpers skip them.
     long shed_seen = 0;
     for (const double l : rep.latencyUs)
         shed_seen += l < 0.0;
     EXPECT_EQ(shed_seen, rep.shed);
+    EXPECT_EQ(rep.meanLatencyUs(), rep.meanUs);
+    EXPECT_EQ(rep.latencyPercentile(99.0), rep.p99Us);
+}
+
+TEST(EventLoop, LookaheadUnderSheddingIsExactAndThreadIndependent)
+{
+    // Exact service at overload with a bounded queue, over more
+    // arrivals than the lookahead holds: requests the lookahead
+    // executed before they arrived are then shed.  Their reports
+    // must vanish without a trace -- the run is bit-identical at 1
+    // and 4 threads, every arrival is admitted or shed once, and the
+    // cache saw exactly one lookup per admitted request (the
+    // lookahead never consults it).
+    StreamConfig scfg = compatConfig(SchedPolicy::IrAware, 1,
+                                     ArrivalKind::Poisson, 300);
+    scfg.trace.meanRatePerSec = 200000.0;
+    scfg.admission.maxQueueDepth = 4;
+    runStream(scfg); // warm the shared cache: render() has its deltas
+    const auto serial = runStream(scfg);
+    scfg.fleet.threads = 4;
+    const auto threaded = runStream(scfg);
+    expectIdentical(serial, threaded);
+    for (const StreamReport *rep : {&serial, &threaded}) {
+        EXPECT_EQ(rep->arrivals, 300);
+        EXPECT_EQ(rep->admitted + rep->shed, rep->arrivals);
+        EXPECT_GT(rep->shed, 0);
+        EXPECT_EQ(rep->requests, rep->admitted);
+        EXPECT_EQ(rep->cacheHits + rep->cacheMisses, rep->admitted);
+    }
 }
 
 TEST(EventLoop, AutoscalerGrowsThePoolUnderLoad)

@@ -143,15 +143,15 @@ TEST(ChipPool, GangAcquisitionSurvivesAutoscalerShrink)
     ASSERT_EQ(pool.activeCount(), 2);
     // Under the old assert this line died; now it reports "cannot
     // fill" and leaves recovery to the caller.
-    EXPECT_TRUE(pool.acquireGang(3).empty());
+    EXPECT_TRUE(pool.acquireGang(std::vector<int>(3, 0)).empty());
     // A gang that still fits acquires the earliest-free actives.
-    const auto two = pool.acquireGang(2);
+    const auto two = pool.acquireGang(std::vector<int>(2, 0));
     ASSERT_EQ(two.size(), 2u);
     EXPECT_EQ(two[0], 0);
     EXPECT_EQ(two[1], 1);
     // Reactivating restores three-gang capacity.
     EXPECT_TRUE(pool.activateOne());
-    EXPECT_EQ(pool.acquireGang(3).size(), 3u);
+    EXPECT_EQ(pool.acquireGang(std::vector<int>(3, 0)).size(), 3u);
 }
 
 TEST(ChipPool, ClassAwareGangFillsEachSlotFromItsClass)
@@ -173,12 +173,14 @@ TEST(ChipPool, ClassAwareGangFillsEachSlotFromItsClass)
     // partial gang.
     EXPECT_TRUE(
         pool.acquireGang(std::vector<int>{0, 0, 0}).empty());
-    // On a class-less pool, all-zero slots equal count acquisition.
+    // On a class-less pool, all-zero slots take the earliest-free
+    // chips, ties toward the lowest id.
     ChipPool plain(3);
-    const auto by_count = plain.acquireGang(3);
-    const auto by_class =
-        plain.acquireGang(std::vector<int>{0, 0, 0});
-    EXPECT_EQ(by_count, by_class);
+    plain.slot(0).freeAtUs = 5.0;
+    EXPECT_EQ(plain.acquireGang(std::vector<int>{0, 0}),
+              (std::vector<int>{1, 2}));
+    EXPECT_EQ(plain.acquireGang(std::vector<int>{0, 0, 0}),
+              (std::vector<int>{1, 2, 0}));
 }
 
 TEST(ChipPool, ShrinkRespectsClassFloorsAndTargetedReactivation)
@@ -274,4 +276,22 @@ TEST(SkuStream, AutoscaledGangStreamCompletesWithoutViolations)
     // The gang's members are the big chips; both must have worked.
     EXPECT_GT(rep.chips[0].served, 0);
     EXPECT_GT(rep.chips[1].served, 0);
+}
+
+TEST(SkuStream, UnservableModelIsFatalNotSilent)
+{
+    // Twin of SkuFleet.UnservableModelIsFatalNotSilent.  ViT fits the
+    // configured big SKU, but no chip instantiates it: the stream
+    // must die loudly instead of losing the requests (a mixed trace
+    // used to complete only its ResNet18 half; a ViT-only trace
+    // ended in an empty-percentile panic).
+    StreamConfig scfg;
+    scfg.fleet = mixedFleet(1);
+    scfg.fleet.chips = 2;
+    scfg.fleet.skuOf = {1, 1};
+    scfg.trace = mixedTraceConfig(false, 8);
+    scfg.trace.mix = {{"ViT", 1.0, 4000.0}, {"ResNet18", 1.0, 4000.0}};
+    EXPECT_DEATH(runStream(scfg), "fits no chip of the fleet");
+    scfg.trace.mix = {{"ViT", 1.0, 4000.0}};
+    EXPECT_DEATH(runStream(scfg), "fits no chip of the fleet");
 }

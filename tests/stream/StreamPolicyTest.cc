@@ -114,7 +114,8 @@ TEST(ChipPool, ActivationControlsDispatchability)
     EXPECT_EQ(pool.freeChipAt(10.0), 0);
     // Inactive chips are invisible even when idle.
     EXPECT_EQ(pool.slot(2).freeAtUs, 0.0);
-    EXPECT_EQ(pool.earliestFree(), 0);
+    EXPECT_EQ(pool.acquireGang(std::vector<int>{0}),
+              std::vector<int>{0});
     // Growth restores the lowest-id inactive chip first.
     EXPECT_TRUE(pool.activateOne());
     EXPECT_EQ(pool.freeChipAt(0.0), 1);
