@@ -2,9 +2,9 @@
  * @file
  * Droop-backend fidelity/speed sweep: runs the model zoo and a
  * synthetic HR sweep through the IR-drop backends (power/IrBackend)
- * and reports how closely the warm-started PDN-mesh backend tracks
- * the Equation-2 analytic backend, what the di/dt transient backend
- * adds on load steps, and at what cost.
+ * and reports how closely the PDN-mesh backend (exact DC droop via
+ * its transfer matrix) tracks the Equation-2 analytic backend, what
+ * the di/dt transient backend adds on load steps, and at what cost.
  *
  * This is the repo's stand-in for the paper's model-vs-RedHawk
  * validation (Figures 4/16/17): the analytic backend is the
@@ -13,11 +13,11 @@
  * first-droop overshoot a load step excites.  `--smoke` runs a
  * reduced sweep and exits non-zero unless the droop correlation is
  * >= 0.95, the mesh backend sustains >= 50% of the analytic
- * windows/sec (the red-black warm re-solves plus batched demand
- * deltas put it well above the old 10% bar), and the transient
- * backend both overshoots its
- * converged DC droop by 3%..60% on a step load and sustains >= 4%
- * of the analytic windows/sec (the CI gate).
+ * windows/sec (a dirty window costs one small transfer-matrix
+ * mat-vec), and the transient backend both overshoots its converged
+ * DC droop by 3%..60% on a step load and sustains >= 4% of the
+ * analytic windows/sec (one cached-factor solve per window; the CI
+ * gate).
  */
 
 #include "BenchCommon.hh"
@@ -78,7 +78,7 @@ main(int argc, char **argv)
             smoke = true;
 
     banner("Backend fidelity",
-           "analytic (Equation 2) vs mesh (warm-started PDN solves)");
+           "analytic (Equation 2) vs mesh (exact DC PDN droop)");
 
     pim::PimConfig cfg;
     const auto cal = power::defaultCalibration();

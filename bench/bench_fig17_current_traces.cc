@@ -25,14 +25,7 @@ struct TracePoint
     double bumpI;
 };
 
-struct TraceResult
-{
-    std::vector<TracePoint> points;
-    /** SOR iterations spent across the trace's solves. */
-    long iterations = 0;
-};
-
-TraceResult
+std::vector<TracePoint>
 trace(double hr, double v, double fGhz, uint64_t seed, int steps)
 {
     const auto cal = power::defaultCalibration();
@@ -47,23 +40,19 @@ trace(double hr, double v, double fGhz, uint64_t seed, int steps)
     mcfg.bumpPitch = 4;
     mcfg.vdd = v;
 
-    // One mesh across the trace: each step only swaps the block
-    // current and re-solves warm-started from the previous step's
-    // voltage map (consecutive Rtog samples are close, so the solver
-    // converges in a fraction of a cold solve's iterations).
+    // One mesh (one factorization) across the trace: each step only
+    // swaps the block current and re-solves in place.
     power::PdnMesh mesh(mcfg);
-    power::PdnSolution prev;
-    TraceResult out;
+    power::PdnSolution sol;
+    std::vector<TracePoint> out;
     for (int i = 0; i < steps; ++i) {
         const double rtog = sampler.sample();
         const double demand =
             ir.demandCurrentA(ir.dropMv(v, fGhz, rtog));
         mesh.clearLoads();
         mesh.addBlockLoad(8, 8, 8, 8, demand);
-        prev = mesh.solve(i == 0 ? nullptr : &prev);
-        out.iterations += prev.iterations;
-        out.points.push_back(
-            {demand, prev.bumpVoltage, prev.bumpCurrentA});
+        mesh.resolve(sol);
+        out.push_back({demand, sol.bumpVoltage, sol.bumpCurrentA});
     }
     return out;
 }
@@ -97,10 +86,8 @@ main()
     const int steps = 30;
     // Before: baseline weights at nominal V-f; after: LHR+WDS HR at
     // the IR-Booster low-power point.
-    const auto before_res = trace(0.50, 0.75, 1.0, 11, steps);
-    const auto after_res = trace(0.32, 0.68, 1.0, 11, steps);
-    const auto &before = before_res.points;
-    const auto &after = after_res.points;
+    const auto before = trace(0.50, 0.75, 1.0, 11, steps);
+    const auto after = trace(0.32, 0.68, 1.0, 11, steps);
 
     std::printf("\n%4s  %25s  %25s\n", "step",
                 "before: I(A) Vb(V) Ib(A)", "after: I(A) Vb(V) Ib(A)");
@@ -114,11 +101,5 @@ main()
     summarize("after AIM:", after);
     std::printf("Shape (paper): demanded current and bump current "
                 "fall, bump voltage flattens after AIM.\n");
-    std::printf("warm-started solves: %ld SOR iterations per trace "
-                "(before), %ld (after), ~%.0f per step\n",
-                before_res.iterations, after_res.iterations,
-                static_cast<double>(before_res.iterations +
-                                    after_res.iterations) /
-                    (2.0 * steps));
     return 0;
 }

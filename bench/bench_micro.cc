@@ -97,63 +97,41 @@ BM_PdnMeshSolve(benchmark::State &state)
 BENCHMARK(BM_PdnMeshSolve)->Arg(24)->Arg(48);
 
 void
-BM_PdnMeshWarmResolve(benchmark::State &state)
+BM_PdnMeshResolve(benchmark::State &state)
 {
-    // Perturbed re-solve warm-started from the previous solution --
-    // the mesh droop backend's per-window pattern.  Compare against
-    // BM_PdnMeshSolve at the same size for the warm-start win.
+    // Perturbed in-place re-solve: a load change plus the two
+    // triangular sweeps against the construction-time factor.
+    // Compare against BM_PdnMeshSolve (which also allocates).
     power::PdnMeshConfig cfg;
     cfg.size = static_cast<int>(state.range(0));
     power::PdnMesh mesh(cfg);
     mesh.addBlockLoad(cfg.size / 4, cfg.size / 4, cfg.size / 2,
                       cfg.size / 2, 3.0);
-    power::PdnSolution prev = mesh.solve();
+    power::PdnSolution sol = mesh.solve();
     double delta = 0.05;
     for (auto _ : state) {
         mesh.addBlockLoad(cfg.size / 4, cfg.size / 4, cfg.size / 2,
                           cfg.size / 2, delta);
         delta = -delta;
-        prev = mesh.solve(&prev);
-        benchmark::DoNotOptimize(prev.voltage.data());
-    }
-}
-BENCHMARK(BM_PdnMeshWarmResolve)->Arg(24)->Arg(48);
-
-void
-BM_PdnMeshRedBlackSolve(benchmark::State &state)
-{
-    // Cold red-black SOR solve, pinned past the Auto dispatch --
-    // compare against BM_PdnMeshSolve (Auto: multigrid when cold)
-    // and BM_PdnMeshVCycle at the same size.
-    power::PdnMeshConfig cfg;
-    cfg.size = static_cast<int>(state.range(0));
-    cfg.solver = power::PdnSolverKind::RedBlack;
-    power::PdnMesh mesh(cfg);
-    mesh.addBlockLoad(cfg.size / 4, cfg.size / 4, cfg.size / 2,
-                      cfg.size / 2, 3.0);
-    for (auto _ : state) {
-        auto sol = mesh.solve();
+        mesh.resolve(sol);
         benchmark::DoNotOptimize(sol.voltage.data());
     }
 }
-BENCHMARK(BM_PdnMeshRedBlackSolve)->Arg(24)->Arg(48);
+BENCHMARK(BM_PdnMeshResolve)->Arg(24)->Arg(48);
 
 void
-BM_PdnMeshVCycle(benchmark::State &state)
+BM_PdnMeshFactor(benchmark::State &state)
 {
-    // Cold geometric-multigrid solve, pinned past the Auto dispatch.
+    // Construction: the banded Cholesky factorization of the DC
+    // matrix, paid once per mesh (and once per dt for transients).
     power::PdnMeshConfig cfg;
     cfg.size = static_cast<int>(state.range(0));
-    cfg.solver = power::PdnSolverKind::Multigrid;
-    power::PdnMesh mesh(cfg);
-    mesh.addBlockLoad(cfg.size / 4, cfg.size / 4, cfg.size / 2,
-                      cfg.size / 2, 3.0);
     for (auto _ : state) {
-        auto sol = mesh.solve();
-        benchmark::DoNotOptimize(sol.voltage.data());
+        power::PdnMesh mesh(cfg);
+        benchmark::DoNotOptimize(&mesh);
     }
 }
-BENCHMARK(BM_PdnMeshVCycle)->Arg(24)->Arg(48);
+BENCHMARK(BM_PdnMeshFactor)->Arg(16)->Arg(24)->Arg(48);
 
 void
 BM_RuntimeWindowLoop(benchmark::State &state)
@@ -193,8 +171,8 @@ void
 BM_PdnMeshTransientStep(benchmark::State &state)
 {
     // One implicit-Euler RC step per window is the transient droop
-    // backend's hot loop (power/TransientBackend): decap-dominated
-    // diagonal, warm-started from the previous window's state.
+    // backend's hot loop (power/TransientBackend): a source build and
+    // two triangular sweeps against the cached per-dt factor.
     power::PdnMeshConfig cfg;
     cfg.size = static_cast<int>(state.range(0));
     cfg.bumpPitch = 4;

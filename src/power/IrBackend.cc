@@ -104,10 +104,9 @@ backendKey(const IrBackendConfig &cfg, const Calibration &cal)
     os << std::hexfloat;
     os << static_cast<int>(cfg.kind) << '|' << cfg.groups << ','
        << cfg.macrosPerGroup << ',' << cfg.meshSize << ','
-       << cfg.meshBumpPitch << ',' << cfg.rtogThreshold << ','
-       << cfg.warmTolerance << ',' << cfg.warmMaxIterations;
+       << cfg.meshBumpPitch << ',' << cfg.rtogThreshold;
     // Only the transient backend reads the transient fields; keying
-    // them for Mesh would pay the cold solve again for configs that
+    // them for Mesh would pay the construction again for configs that
     // differ nowhere the backend can see.
     if (cfg.kind == IrBackendKind::Transient)
         os << ',' << cfg.transientDecapNf << ','
@@ -121,7 +120,7 @@ backendKey(const IrBackendConfig &cfg, const Calibration &cal)
     return os.str();
 }
 
-/** Process-wide memo of cold-solve-expensive backends. */
+/** Process-wide memo of construction-expensive backends. */
 std::shared_ptr<const IrBackend>
 memoized(const IrBackendConfig &cfg, const Calibration &cal)
 {
@@ -153,9 +152,9 @@ makeIrBackend(const IrBackendConfig &cfg, const Calibration &cal)
         return std::make_shared<AnalyticBackend>(cal);
     case IrBackendKind::Mesh:
     case IrBackendKind::Transient:
-        // The cold calibration solve is the expensive part; memoize
-        // it process-wide (backends are immutable and thread-shared
-        // by design, see the class comment).
+        // Factoring and the construction solves are the expensive
+        // part; memoize them process-wide (backends are immutable
+        // and thread-shared by design, see the class comment).
         return memoized(cfg, cal);
     }
     aim_fatal("unknown IrBackendKind ", static_cast<int>(cfg.kind));

@@ -10,16 +10,16 @@
  *       one region per group, drop linear in Rtog.  Fast, and the
  *       default; runs are bit-identical to the pre-backend runtime.
  *   Mesh     -- the layout-level substitute (power/PdnMesh): active
- *       macros map to footprint nodes of a resistive PDN mesh and
- *       every window re-solves the mesh incrementally with
- *       warm-started SOR.  Slower, but spatially aware: a group's
+ *       macros map to footprint nodes of a resistive PDN mesh, whose
+ *       exact DC droop a window reads from a precomputed transfer
+ *       matrix of the macro currents.  Spatially aware: a group's
  *       droop depends on its neighbours' activity and its distance
  *       to the bumps, the effect RedHawk sees and Equation 2
  *       averages away (paper Figures 4/16/17).
  *
  * Threading contract: an IrBackend is immutable after construction
  * and shared by every concurrent Runtime::run call; all per-round
- * mutable state (warm solutions, applied currents, noise) lives in
+ * mutable state (applied currents, electrical state) lives in
  * the IrEval a caller creates per round via newEval().  Evaluating a
  * window consumes the shared round RNG once per active group, in
  * ascending group order, for every backend -- so reports stay a pure
@@ -46,7 +46,7 @@ namespace aim::power
 enum class IrBackendKind : int
 {
     Analytic,  ///< Equation-2 per-group estimator (the default)
-    Mesh,      ///< warm-started incremental PDN-mesh solves
+    Mesh,      ///< exact DC PDN-mesh droop via a transfer matrix
     Transient, ///< di/dt RC mesh, one implicit-Euler step per window
 };
 
@@ -91,8 +91,8 @@ struct IrState
 };
 
 /**
- * Per-round droop evaluator.  Stateful (warm starts, applied
- * currents); create one per round via IrBackend::newEval and discard
+ * Per-round droop evaluator.  Stateful (applied currents, RC
+ * state); create one per round via IrBackend::newEval and discard
  * it with the round.
  */
 class IrEval
@@ -127,8 +127,8 @@ class IrEval
 
 /**
  * Immutable droop-model half shared across rounds and threads.
- * Construction pays any one-time cost (the mesh backend's cold
- * full-grid solve and calibration); newEval() is cheap.
+ * Construction pays any one-time cost (the mesh backend's factor,
+ * calibration solve and transfer matrix); newEval() is cheap.
  */
 class IrBackend
 {
@@ -182,13 +182,9 @@ struct IrBackendConfig
      * is left in place (its droop is scaled linearly with demand
      * instead -- exact for the group's own contribution on a linear
      * network, stale only for neighbour coupling).  Only materially
-     * changed groups trigger a warm re-solve.
+     * changed groups refresh the droop map.
      */
     double rtogThreshold = 0.15;
-    /** Convergence tolerance of the per-window warm solves [A]. */
-    double warmTolerance = 2e-5;
-    /** Iteration cap of the per-window warm solves. */
-    int warmMaxIterations = 4;
 
     // --- Transient backend tuning (ignored by Analytic and Mesh) ---
     /**
@@ -224,10 +220,11 @@ struct IrBackendConfig
 /**
  * Build a backend; fatal on an unknown kind.  Backends are a pure
  * function of (config, calibration) and immutable, so heavy ones
- * (the mesh backend's cold calibration solve) are memoized
- * process-wide and shared -- a sharded runtime or pipeline that
- * constructs a Runtime per request pays the cold solve once, not per
- * request.
+ * (the mesh backends' factor and transfer-matrix solves) are
+ * memoized process-wide and shared -- a sharded runtime or pipeline
+ * that constructs a Runtime per request pays them once, not per
+ * request.  The transient backend's per-dt factors live on its
+ * shared mesh, so they are paid once per process as well.
  */
 std::shared_ptr<const IrBackend>
 makeIrBackend(const IrBackendConfig &cfg, const Calibration &cal);

@@ -22,26 +22,43 @@ gridShape(int n)
     return {rows, cols};
 }
 
+/** Mean drop over a macro footprint in a solution [mV]. */
+double
+footprintDropMv(const PdnSolution &sol,
+                const MeshBackend::Footprint &r, double vdd)
+{
+    double acc = 0.0;
+    for (int row = r.row0; row < r.row0 + r.rows; ++row)
+        for (int col = r.col0; col < r.col0 + r.cols; ++col)
+            acc += (vdd - sol.voltage[static_cast<size_t>(row) *
+                                          sol.size +
+                                      col]) *
+                   1000.0;
+    return acc / (static_cast<double>(r.rows) * r.cols);
+}
+
 } // namespace
 
-/** Per-round mesh evaluator: warm solution + applied currents. */
+/**
+ * Per-round mesh evaluator: the layout's group transfer matrix plus
+ * the demand currents last injected.  Stateless apart from those --
+ * every refresh is the exact DC droop of the injected currents.
+ */
 class MeshEval final : public IrEval
 {
   public:
     MeshEval(const MeshBackend &backend,
              const std::vector<std::vector<int>> &activeMacros)
-        : bk(backend), mesh(backend.warmCfg),
-          prev(backend.baselineSol)
+        : bk(backend), transferMv(backend.groupTransferMv(activeMacros))
     {
-        const auto rects = bk.groupRects(activeMacros);
-        groupNodes = bk.groupNodeLists(rects);
-        const size_t groups = rects.size();
+        const size_t groups = static_cast<size_t>(bk.bcfg.groups);
         activeCount.assign(groups, 0);
         appliedA.assign(groups, -1.0);
         demandA.assign(groups, 0.0);
         cachedDynMv.assign(groups, 0.0);
-        for (size_t g = 0; g < groups; ++g)
-            activeCount[g] = static_cast<int>(rects[g].size());
+        const size_t known = std::min(groups, activeMacros.size());
+        for (size_t g = 0; g < known; ++g)
+            activeCount[g] = static_cast<int>(activeMacros[g].size());
     }
 
     void
@@ -49,7 +66,7 @@ class MeshEval final : public IrEval
            std::vector<double> &dropMv) override
     {
         const double threshold = bk.bcfg.rtogThreshold;
-        pendingDeltas.clear();
+        bool refresh = false;
         for (size_t g = 0; g < groups.size(); ++g) {
             const GroupWindow &gw = groups[g];
             if (!gw.active || activeCount[g] == 0)
@@ -61,38 +78,27 @@ class MeshEval final : public IrEval
                 std::fabs(demandA[g] - appliedA[g]) >
                     threshold * std::max(appliedA[g], 1e-6);
             if (dirty) {
-                // Incremental load update: only the delta, batched
-                // into the window's single applyLoadDeltas call.
-                const double delta =
-                    demandA[g] - std::max(appliedA[g], 0.0);
-                const MeshBackend::GroupNodes &gn = groupNodes[g];
-                for (size_t i = 0; i < gn.nodes.size(); ++i)
-                    pendingDeltas.push_back(
-                        {gn.nodes[i], delta * gn.weightPerAmp[i]});
                 appliedA[g] = demandA[g];
+                refresh = true;
             }
         }
-        if (!pendingDeltas.empty())
-            mesh.applyLoadDeltas(pendingDeltas);
 
-        // Re-solve when loads moved materially -- and keep iterating
-        // on quiet windows while the last capped solve has not
-        // reached tolerance yet, so a stable demand converges to the
-        // consistent voltage map instead of freezing a stale one.
-        // Convergence is the solver's own verdict (the one tolerance
-        // constant lives in PdnMeshConfig), not a re-derived check.
-        if (!pendingDeltas.empty() || !prev.converged) {
-            // Warm-started red-black SOR from the previous window's
-            // voltage map, in place: a few sweeps instead of a cold
-            // solve, and no per-window allocation.
-            mesh.resolve(prev);
-            ++solveCount;
-            iterationCount += prev.iterations;
-            for (size_t g = 0; g < groupNodes.size(); ++g)
-                if (activeCount[g] > 0)
-                    cachedDynMv[g] = bk.scale * footprintDropMv(g);
+        // Loads moved materially: the footprint drops are the
+        // transfer matrix applied to the injected currents (groups
+        // never injected contribute nothing).
+        if (refresh) {
+            const size_t n = activeCount.size();
+            for (size_t g = 0; g < n; ++g) {
+                if (activeCount[g] == 0)
+                    continue;
+                const double *row = &transferMv[g * n];
+                double acc = 0.0;
+                for (size_t h = 0; h < n; ++h)
+                    if (appliedA[h] > 0.0)
+                        acc += row[h] * appliedA[h];
+                cachedDynMv[g] = bk.scale * acc;
+            }
         }
-        ++windowCount;
 
         for (size_t g = 0; g < groups.size(); ++g) {
             const GroupWindow &gw = groups[g];
@@ -111,31 +117,14 @@ class MeshEval final : public IrEval
         }
     }
 
-    long solves() const { return solveCount; }
-    long iterations() const { return iterationCount; }
-    long windows() const { return windowCount; }
-
   private:
-    /** Mean dynamic drop over group @p g's active footprints [mV]. */
-    double
-    footprintDropMv(size_t g) const
-    {
-        return MeshBackend::nodesDropMv(prev, groupNodes[g],
-                                        bk.warmCfg.vdd);
-    }
-
     const MeshBackend &bk;
-    PdnMesh mesh;
-    PdnSolution prev;
-    std::vector<MeshBackend::GroupNodes> groupNodes;
-    std::vector<PdnLoadDelta> pendingDeltas;
+    /** Group x group transfer matrix of this layout [mV/A]. */
+    std::vector<double> transferMv;
     std::vector<int> activeCount;
     std::vector<double> appliedA;
     std::vector<double> demandA;
     std::vector<double> cachedDynMv;
-    long solveCount = 0;
-    long iterationCount = 0;
-    long windowCount = 0;
 };
 
 MeshBackend::MeshBackend(const IrBackendConfig &cfg,
@@ -144,29 +133,25 @@ MeshBackend::MeshBackend(const IrBackendConfig &cfg,
 {
     aim_assert(bcfg.groups >= 1 && bcfg.macrosPerGroup >= 1,
                "mesh backend needs a positive chip geometry");
-    warmCfg.size = bcfg.meshSize;
-    warmCfg.bumpPitch = bcfg.meshBumpPitch;
-    warmCfg.vdd = cal.vddNominal;
-    warmCfg.tolerance = bcfg.warmTolerance;
-    warmCfg.maxIterations = bcfg.warmMaxIterations;
+    meshCfg.size = bcfg.meshSize;
+    meshCfg.bumpPitch = bcfg.meshBumpPitch;
+    meshCfg.vdd = cal.vddNominal;
 
     fullA = ir.demandCurrentA(
         ir.dynamicDropMv(cal.vddNominal, cal.fNominal, 1.0));
 
-    // Cold calibration solve: every macro at full activity, at the
-    // solver's own defaults -- the single tolerance/cap constants
-    // live in PdnMeshConfig, not re-stated here.  Its solution
-    // doubles as the evals' warm seed.
-    PdnMeshConfig tight = warmCfg;
-    tight.tolerance = PdnMeshConfig{}.tolerance;
-    tight.maxIterations = PdnMeshConfig{}.maxIterations;
-    PdnMesh mesh(tight);
+    // Full-activity solve: every macro at full activity.  Its
+    // solution anchors the calibration below and seeds the transient
+    // backend's electrical state.
+    PdnMesh mesh(meshCfg);
     const int macros = bcfg.groups * bcfg.macrosPerGroup;
+    std::vector<Footprint> fps;
+    fps.reserve(static_cast<size_t>(macros));
+    for (int m = 0; m < macros; ++m)
+        fps.push_back(macroFootprint(m));
     const double per_macro = fullA / macros;
-    for (int m = 0; m < macros; ++m) {
-        const Footprint r = macroFootprint(m);
+    for (const Footprint &r : fps)
         mesh.addBlockLoad(r.row0, r.col0, r.rows, r.cols, per_macro);
-    }
     baselineSol = mesh.solve();
 
     // Anchor the mesh to Equation 2: at uniform full activity the
@@ -177,6 +162,65 @@ MeshBackend::MeshBackend(const IrBackendConfig &cfg,
                "mesh calibration produced no droop");
     scale = ir.dynamicDropMv(cal.vddNominal, cal.fNominal, 1.0) /
             mesh_mean;
+
+    // Transfer matrix: one unit-load solve per macro, read back as
+    // the mean drop over every macro's footprint.
+    transferMv.assign(static_cast<size_t>(macros) * macros, 0.0);
+    PdnSolution unit;
+    for (int b = 0; b < macros; ++b) {
+        const Footprint &src = fps[static_cast<size_t>(b)];
+        mesh.clearLoads();
+        mesh.addBlockLoad(src.row0, src.col0, src.rows, src.cols, 1.0);
+        mesh.resolve(unit);
+        for (int a = 0; a < macros; ++a)
+            transferMv[static_cast<size_t>(a) * macros + b] =
+                footprintDropMv(unit, fps[static_cast<size_t>(a)],
+                                cal.vddNominal);
+    }
+}
+
+std::vector<double>
+MeshBackend::groupTransferMv(
+    const std::vector<std::vector<int>> &active_macros) const
+{
+    const int macros = bcfg.groups * bcfg.macrosPerGroup;
+    const size_t groups = static_cast<size_t>(bcfg.groups);
+    const size_t known = std::min(groups, active_macros.size());
+    for (size_t g = 0; g < known; ++g)
+        for (int a : active_macros[g])
+            aim_assert(a >= 0 && a < macros, "macro ", a,
+                       " outside the chip");
+    std::vector<double> out(groups * groups, 0.0);
+    for (size_t g = 0; g < known; ++g) {
+        const std::vector<int> &ag = active_macros[g];
+        // A group's drop is the node-weighted mean over its active
+        // footprints, so each macro row weighs by its node count.
+        std::vector<int> macro_nodes;
+        long nodes = 0;
+        for (int a : ag) {
+            const Footprint f = macroFootprint(a);
+            macro_nodes.push_back(f.rows * f.cols);
+            nodes += macro_nodes.back();
+        }
+        for (size_t h = 0; h < known; ++h) {
+            const std::vector<int> &ah = active_macros[h];
+            if (ag.empty() || ah.empty())
+                continue;
+            double acc = 0.0;
+            for (size_t i = 0; i < ag.size(); ++i) {
+                const double *row =
+                    &transferMv[static_cast<size_t>(ag[i]) * macros];
+                double sum = 0.0;
+                for (int b : ah)
+                    sum += row[b];
+                acc += static_cast<double>(macro_nodes[i]) * sum;
+            }
+            out[g * groups + h] =
+                acc / (static_cast<double>(nodes) *
+                       static_cast<double>(ah.size()));
+        }
+    }
+    return out;
 }
 
 std::vector<std::vector<MeshBackend::Footprint>>
@@ -194,31 +238,11 @@ MeshBackend::groupRects(
     return rects;
 }
 
-double
-MeshBackend::footprintDropMv(const PdnSolution &sol,
-                             const std::vector<Footprint> &rects,
-                             double vdd)
-{
-    double acc = 0.0;
-    long nodes = 0;
-    for (const auto &r : rects)
-        for (int row = r.row0; row < r.row0 + r.rows; ++row)
-            for (int col = r.col0; col < r.col0 + r.cols; ++col) {
-                acc += (vdd -
-                        sol.voltage[static_cast<size_t>(row) *
-                                        sol.size +
-                                    col]) *
-                       1000.0;
-                ++nodes;
-            }
-    return nodes > 0 ? acc / static_cast<double>(nodes) : 0.0;
-}
-
 std::vector<MeshBackend::GroupNodes>
 MeshBackend::groupNodeLists(
     const std::vector<std::vector<Footprint>> &rects) const
 {
-    const int n = warmCfg.size;
+    const int n = meshCfg.size;
     std::vector<GroupNodes> out(rects.size());
     for (size_t g = 0; g < rects.size(); ++g) {
         const auto &rs = rects[g];
@@ -266,7 +290,7 @@ MeshBackend::macroFootprint(int m) const
     const int gc = g % g_cols;
     const int mr = local / m_cols;
     const int mc = local % m_cols;
-    const int n = warmCfg.size;
+    const int n = meshCfg.size;
 
     const int tile_r0 = gr * n / g_rows;
     const int tile_r1 = (gr + 1) * n / g_rows;

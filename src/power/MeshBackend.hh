@@ -1,7 +1,7 @@
 /**
  * @file
  * Layout-level droop backend: the window engine's view of the
- * PdnMesh SOR solver (power/PdnMesh).
+ * PdnMesh PDN solver (power/PdnMesh).
  *
  * Geometry: the die is tiled into a gRows x gCols grid of group
  * regions, each subdivided into macro sub-tiles; a group's *active*
@@ -12,19 +12,20 @@
  * resistive network does with it (bump proximity, neighbour
  * coupling).
  *
- * Cost model: the cold full-grid solve (a multigrid V-cycle under
- * the solver's Auto dispatch) is paid once, at backend construction,
- * against the full-activity load (this also calibrates the mesh
- * scale to Equation 2's full-activity dynamic drop).  Each round's
- * evaluator then starts from that solution; per window, only groups
- * whose demand current moved beyond IrBackendConfig::rtogThreshold
- * contribute to one batched PdnMesh::applyLoadDeltas vector (their
- * footprints pre-flattened to node indices by groupNodeLists), and a
- * single warm-started red-black re-solve runs in place on the
- * previous window's voltage map -- a handful of half-sweeps instead
- * of a cold solve's hundreds.  Groups inside the threshold scale
- * their cached footprint drop linearly with demand (the mesh is a
- * linear network, so own-contribution scaling is exact).
+ * Cost model: the mesh is linear and its loads are current sources,
+ * so every droop it can report is a linear map of the macro
+ * currents.  Construction factors the mesh once and pays one solve
+ * against the full-activity load (which calibrates the mesh scale to
+ * Equation 2's full-activity dynamic drop) plus one unit-load solve
+ * per macro, giving a macro x macro transfer matrix [mV/A]: the mean
+ * drop over macro a's footprint per amp drawn evenly over macro b's.
+ * Each round's evaluator folds it into a group x group matrix for
+ * its layout (groupTransferMv), and a window whose demand moved
+ * beyond IrBackendConfig::rtogThreshold costs one small mat-vec --
+ * the exact DC droop of the currents it injects.  Groups inside the
+ * threshold scale their cached footprint drop linearly with demand
+ * (exact for the group's own contribution, stale only for neighbour
+ * coupling).
  */
 
 #ifndef AIM_POWER_MESHBACKEND_HH
@@ -41,13 +42,16 @@ class MeshEval;
 /**
  * PDN-mesh droop backend (IrBackendKind::Mesh).  Also the base of
  * the di/dt TransientBackend, which reuses the footprint mapping,
- * the cold full-activity solve and the Equation-2 anchor calibration
- * and only swaps the per-window evaluator.
+ * the full-activity solve and the Equation-2 anchor calibration and
+ * only swaps the per-window evaluator.
  */
 class MeshBackend : public IrBackend
 {
   public:
-    /** Pays the cold full-activity solve and calibrates the scale. */
+    /**
+     * Factors the mesh, pays the full-activity solve that calibrates
+     * the scale, and builds the macro transfer matrix.
+     */
     MeshBackend(const IrBackendConfig &cfg, const Calibration &cal);
 
     IrBackendKind
@@ -78,8 +82,7 @@ class MeshBackend : public IrBackend
      * demand delta evenly over its active macros and then evenly
      * over each macro's footprint nodes.  This is the batched
      * PdnMesh::applyLoadDeltas form of the per-rect addBlockLoad
-     * scatter: the evaluators build one delta vector per window and
-     * hand the mesh a single call.
+     * scatter the transient evaluator steps with.
      */
     struct GroupNodes
     {
@@ -98,16 +101,21 @@ class MeshBackend : public IrBackend
     /**
      * Active-macro footprints per group (index = group id), sized to
      * the configured group count regardless of the layout's length.
-     * The shared round-setup of every mesh-family evaluator.
      */
     std::vector<std::vector<Footprint>>
     groupRects(const std::vector<std::vector<int>> &activeMacros)
         const;
 
-    /** Mean drop over a group's footprints in a solution [mV]. */
-    static double
-    footprintDropMv(const PdnSolution &sol,
-                    const std::vector<Footprint> &rects, double vdd);
+    /**
+     * The transfer matrix folded onto a layout, row-major groups x
+     * groups [mV/A]: entry (g, h) is the mean drop over group g's
+     * active footprints per amp of group h's demand, spread evenly
+     * over h's active macros.  Groups without active macros have
+     * zero rows and columns.
+     */
+    std::vector<double>
+    groupTransferMv(const std::vector<std::vector<int>> &activeMacros)
+        const;
 
     /** Mesh-to-Equation-2 calibration factor. */
     double dynScale() const { return scale; }
@@ -120,6 +128,9 @@ class MeshBackend : public IrBackend
 
     const IrBackendConfig &config() const { return bcfg; }
 
+    /** Config of the backend's mesh. */
+    const PdnMeshConfig &meshConfig() const { return meshCfg; }
+
   protected:
     friend class MeshEval;
 
@@ -130,9 +141,11 @@ class MeshBackend : public IrBackend
     IrBackendConfig bcfg;
     Calibration cal;
     IrModel ir;
-    /** Loose-tolerance mesh config of the per-window warm solves. */
-    PdnMeshConfig warmCfg;
+    /** Mesh config (geometry from bcfg, VDD from the calibration). */
+    PdnMeshConfig meshCfg;
     PdnSolution baselineSol;
+    /** Macro x macro transfer matrix, row-major [mV/A]. */
+    std::vector<double> transferMv;
     double scale = 1.0;
     double fullA = 0.0;
 };

@@ -2,190 +2,105 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
 
-#include "exec/ExecPool.hh"
 #include "util/Logging.hh"
 
 namespace aim::power
 {
 
-namespace
-{
-
-// Multigrid smoothing constants.  The high SOR omega tuned for
-// stand-alone sweeps (cfg.omega, default 1.88) is a poor smoother --
-// it trades smoothing for asymptotic convergence -- so every level of
-// the V-cycle relaxes with a dedicated moderate omega instead.
-constexpr double kMgOmega = 1.25;
-constexpr int kMgPreSweeps = 2;
-constexpr int kMgPostSweeps = 2;
-/** Stop coarsening at this size; the coarsest grid is swept out. */
-constexpr int kMgCoarsestSize = 8;
-/** Sweep cap for the coarsest-level solve (tiny grids, cheap). */
-constexpr int kMgCoarseSweeps = 400;
-
-// Parallel red-black sweeps: rows are chunked across the pool, one
-// max-residual slot per chunk, reduced in fixed slot order.  Below
-// kParMinSize a half-sweep is too small to win anything from fan-out.
-constexpr int kParMinSize = 32;
-constexpr int kChunkRows = 8;
-constexpr int kMaxChunks = 64;
-
 /**
- * A 5-point-stencil sweep problem: solve (D - g N) v = src by SOR,
- * where D is the per-node diagonal, N the grid adjacency and g the
- * uniform sheet conductance.  invW = omega / D and oneMinusOmega
- * bake the relaxation into two multiplies per node -- the kernels
- * run division-free.  All three solve paths (red-black DC, transient
- * step, multigrid smoothing on every level) describe themselves as
- * one of these, which is what makes the C=L=0 transient step
- * bit-identical to the warm DC solve: same struct, same kernel.
+ * Banded Cholesky factor L (A = L L^T) of a 5-point nodal matrix
+ * A = D - g N on an n x n grid: D the per-node diagonal, N the grid
+ * adjacency, g the sheet conductance.  In row-major node order A's
+ * half-bandwidth is n, and so is L's (Cholesky fills the band but
+ * never leaves it), so row i of L is stored as its n+1 band entries,
+ * columns i-n .. i, with the diagonal last.  Factoring costs
+ * O(n^4); each solve two O(n^3) triangular sweeps.
  */
-struct SweepGrid
+class PdnMesh::Factor
 {
-    int n = 0;
-    double g = 0.0;
-    double oneMinusOmega = 0.0;
-    const double *src = nullptr;
-    const double *diag = nullptr;
-    const double *invW = nullptr;
+  public:
+    Factor(int n, double g, const std::vector<double> &diag)
+        : bw(n), nn(n * n),
+          band(static_cast<size_t>(nn) * (n + 1), 0.0),
+          invDiag(static_cast<size_t>(nn), 0.0)
+    {
+        const int w = bw + 1;
+        for (int i = 0; i < nn; ++i) {
+            double *li = &band[static_cast<size_t>(i) * w];
+            li[bw] = diag[static_cast<size_t>(i)];
+            if (i % n != 0)
+                li[bw - 1] = -g; // west neighbour, column i-1
+            if (i >= n)
+                li[0] = -g; // north neighbour, column i-n
+        }
+        for (int i = 0; i < nn; ++i) {
+            double *li = &band[static_cast<size_t>(i) * w];
+            const int k0 = std::max(0, i - bw);
+            for (int j = k0; j <= i; ++j) {
+                const double *lj = &band[static_cast<size_t>(j) * w];
+                // A(i,j) - sum_k L(i,k) L(j,k) over the shared band.
+                double s = li[j - i + bw];
+                for (int k = k0; k < j; ++k)
+                    s -= li[k - i + bw] * lj[k - j + bw];
+                if (j < i) {
+                    li[j - i + bw] = s * invDiag[static_cast<size_t>(j)];
+                } else {
+                    aim_assert(s > 0.0,
+                               "PDN nodal matrix is not positive "
+                               "definite");
+                    li[bw] = std::sqrt(s);
+                    invDiag[static_cast<size_t>(i)] = 1.0 / li[bw];
+                }
+            }
+        }
+    }
+
+    /** Solve A x = b in place (@p x holds b on entry). */
+    void
+    solve(double *x) const
+    {
+        const int w = bw + 1;
+        // Forward: L y = b, row by row.
+        for (int i = 0; i < nn; ++i) {
+            const double *li = &band[static_cast<size_t>(i) * w];
+            const int k0 = std::max(0, i - bw);
+            double s = x[i];
+            for (int k = k0; k < i; ++k)
+                s -= li[k - i + bw] * x[k];
+            x[i] = s * invDiag[static_cast<size_t>(i)];
+        }
+        // Backward: L^T x = y, column-oriented so L is still read
+        // row by row.
+        for (int i = nn - 1; i >= 0; --i) {
+            const double *li = &band[static_cast<size_t>(i) * w];
+            const int k0 = std::max(0, i - bw);
+            const double xi = x[i] * invDiag[static_cast<size_t>(i)];
+            x[i] = xi;
+            for (int k = k0; k < i; ++k)
+                x[k] -= li[k - i + bw] * xi;
+        }
+    }
+
+  private:
+    int bw;
+    int nn;
+    std::vector<double> band;
+    std::vector<double> invDiag;
 };
 
-/** Boundary-general SOR update of one node. */
-inline void
-updateNode(const SweepGrid &gr, double *v, int r, int c,
-           double &residual)
+/** Transient factors keyed by dt, shared by every copy of a mesh. */
+class PdnMesh::FactorCache
 {
-    const int n = gr.n;
-    const size_t i = static_cast<size_t>(r) * n + c;
-    double isum = gr.src[i];
-    if (r > 0)
-        isum += gr.g * v[i - n];
-    if (r + 1 < n)
-        isum += gr.g * v[i + n];
-    if (c > 0)
-        isum += gr.g * v[i - 1];
-    if (c + 1 < n)
-        isum += gr.g * v[i + 1];
-    const double v_old = v[i];
-    const double v_new =
-        gr.oneMinusOmega * v_old + isum * gr.invW[i];
-    residual =
-        std::max(residual, std::fabs(gr.diag[i] * (v_new - v_old)));
-    v[i] = v_new;
-}
+  public:
+    std::mutex mutex;
+    std::map<double, std::unique_ptr<const Factor>> byDt;
+};
 
-/**
- * One half-sweep over rows [r0, r1): update every node of @p color
- * (checkerboard colour (r+c)&1).  Each update reads only the
- * opposite colour, so updates within a half-sweep are independent --
- * any row partition produces identical bits, which is what makes the
- * parallel path deterministic.  Interior rows run a branch-free
- * stride-2 fast path; boundary rows/columns take updateNode.
- * Returns the max |diag * dV| residual over the nodes touched.
- */
-double
-halfSweep(const SweepGrid &gr, double *v, int color, int r0, int r1)
+namespace
 {
-    const int n = gr.n;
-    const double g = gr.g;
-    double residual = 0.0;
-    for (int r = r0; r < r1; ++r) {
-        const int c_start = (r & 1) ^ color;
-        if (r == 0 || r + 1 == n) {
-            for (int c = c_start; c < n; c += 2)
-                updateNode(gr, v, r, c, residual);
-            continue;
-        }
-        double *row = v + static_cast<size_t>(r) * n;
-        const double *up = row - n;
-        const double *down = row + n;
-        const double *s = gr.src + static_cast<size_t>(r) * n;
-        const double *d = gr.diag + static_cast<size_t>(r) * n;
-        const double *w = gr.invW + static_cast<size_t>(r) * n;
-        int c = c_start;
-        if (c == 0) {
-            updateNode(gr, v, r, 0, residual);
-            c += 2;
-        }
-        for (; c < n - 1; c += 2) {
-            const double isum = s[c] + g * ((up[c] + down[c]) +
-                                            (row[c - 1] + row[c + 1]));
-            const double v_old = row[c];
-            const double v_new =
-                gr.oneMinusOmega * v_old + isum * w[c];
-            residual = std::max(residual,
-                                std::fabs(d[c] * (v_new - v_old)));
-            row[c] = v_new;
-        }
-        if (c == n - 1)
-            updateNode(gr, v, r, c, residual);
-    }
-    return residual;
-}
-
-/** Parallel half-sweep: rows chunked over the pool, fixed-order
- *  max-reduction of per-chunk residual slots. */
-double
-parHalfSweep(const SweepGrid &gr, double *v, int color,
-             exec::ExecPool *pool)
-{
-    const int n = gr.n;
-    int chunk_rows = kChunkRows;
-    int chunks = (n + chunk_rows - 1) / chunk_rows;
-    if (chunks > kMaxChunks) {
-        chunk_rows = (n + kMaxChunks - 1) / kMaxChunks;
-        chunks = (n + chunk_rows - 1) / chunk_rows;
-    }
-    double slots[kMaxChunks];
-    pool->parallelFor(chunks, [&](long k) {
-        const int r0 = static_cast<int>(k) * chunk_rows;
-        const int r1 = std::min(n, r0 + chunk_rows);
-        slots[k] = halfSweep(gr, v, color, r0, r1);
-    });
-    double residual = 0.0;
-    for (int k = 0; k < chunks; ++k)
-        residual = std::max(residual, slots[k]);
-    return residual;
-}
-
-/** One full red-black sweep (red then black half-sweeps). */
-double
-sweepOnce(const SweepGrid &gr, double *v, exec::ExecPool *pool)
-{
-    if (pool) {
-        const double res = parHalfSweep(gr, v, 0, pool);
-        return std::max(res, parHalfSweep(gr, v, 1, pool));
-    }
-    const double res = halfSweep(gr, v, 0, 0, gr.n);
-    return std::max(res, halfSweep(gr, v, 1, 0, gr.n));
-}
-
-/**
- * Red-black SOR to convergence: sweep until the residual drops under
- * @p tol or @p maxIter sweeps have run.  The loop shape (and hence
- * the reported iteration count: the index of the converging sweep)
- * matches the seed's lexicographic solver.
- */
-void
-runSweeps(const SweepGrid &gr, double *v, exec::ExecPool *pool,
-          int maxIter, double tol, int &iterOut, double &residOut,
-          bool &convOut)
-{
-    exec::ExecPool *par =
-        (pool && pool->threads() > 1 && gr.n >= kParMinSize) ? pool
-                                                             : nullptr;
-    double residual = 0.0;
-    int iter = 0;
-    for (; iter < maxIter; ++iter) {
-        residual = sweepOnce(gr, v, par);
-        if (residual < tol)
-            break;
-    }
-    iterOut = iter;
-    residOut = residual;
-    convOut = residual < tol;
-}
 
 /** Max |KCL residual| of v under (D - g N) v = src, in amps. */
 double
@@ -208,27 +123,6 @@ residualMax(int n, double g, const double *v, const double *src,
             worst = std::max(worst, std::fabs(acc));
         }
     return worst;
-}
-
-/** Per-node KCL residual of v into rf (same sign convention). */
-void
-computeResidual(int n, double g, const double *v, const double *src,
-                const double *diag, double *rf)
-{
-    for (int r = 0; r < n; ++r)
-        for (int c = 0; c < n; ++c) {
-            const size_t i = static_cast<size_t>(r) * n + c;
-            double acc = src[i] - diag[i] * v[i];
-            if (r > 0)
-                acc += g * v[i - n];
-            if (r + 1 < n)
-                acc += g * v[i + n];
-            if (c > 0)
-                acc += g * v[i - 1];
-            if (c + 1 < n)
-                acc += g * v[i + 1];
-            rf[i] = acc;
-        }
 }
 
 } // namespace
@@ -279,12 +173,11 @@ PdnSolution::renderHeatMap(double vdd, double scaleMv) const
 
 PdnMesh::PdnMesh(const PdnMeshConfig &cfg)
     : cfg(cfg),
-      loadA(static_cast<size_t>(cfg.size) * cfg.size, 0.0)
+      loadA(static_cast<size_t>(cfg.size) * cfg.size, 0.0),
+      stepFactors(std::make_shared<FactorCache>())
 {
     aim_assert(cfg.size >= 4, "mesh too small");
     aim_assert(cfg.bumpPitch >= 1, "bump pitch must be positive");
-    aim_assert(cfg.omega > 0.0 && cfg.omega < 2.0,
-               "SOR omega out of (0, 2)");
     aim_assert(cfg.decapFarad >= 0.0, "negative decap");
     aim_assert(cfg.bumpInductanceH >= 0.0,
                "negative bump inductance");
@@ -312,14 +205,7 @@ PdnMesh::PdnMesh(const PdnMeshConfig &cfg)
     dcDiag = baseDiag;
     for (int b : bumpIdx)
         dcDiag[b] += cfg.bumpConductance;
-    dcInvW.resize(nn);
-    for (size_t i = 0; i < nn; ++i)
-        dcInvW[i] = cfg.omega / dcDiag[i];
-    srcScratch.assign(nn, 0.0);
-
-    if (cfg.solver == PdnSolverKind::Auto ||
-        cfg.solver == PdnSolverKind::Multigrid)
-        buildMultigrid();
+    dcFactor = std::make_shared<const Factor>(n, g, dcDiag);
 }
 
 void
@@ -360,14 +246,15 @@ PdnMesh::isBump(int row, int col) const
 }
 
 void
-PdnMesh::buildDcSource() const
+PdnMesh::buildDcSource(std::vector<double> &x) const
 {
     const size_t nn = loadA.size();
+    x.resize(nn);
     for (size_t i = 0; i < nn; ++i)
-        srcScratch[i] = -loadA[i];
+        x[i] = -loadA[i];
     const double inj = cfg.bumpConductance * cfg.vdd;
     for (int b : bumpIdx)
-        srcScratch[b] += inj;
+        x[b] += inj;
 }
 
 void
@@ -393,379 +280,18 @@ PdnMesh::finishSolution(PdnSolution &sol) const
 PdnSolution
 PdnMesh::solve() const
 {
-    return solve(nullptr, nullptr);
-}
-
-PdnSolution
-PdnMesh::solve(const PdnSolution *warm_start) const
-{
-    return solve(warm_start, nullptr);
-}
-
-PdnSolution
-PdnMesh::solve(const PdnSolution *warm_start,
-               exec::ExecPool *pool) const
-{
-    const int n = cfg.size;
     PdnSolution sol;
-    sol.size = n;
-    const bool warm = warm_start && warm_start->size == n &&
-                      warm_start->voltage.size() ==
-                          static_cast<size_t>(n) * n;
-    if (warm)
-        sol.voltage = warm_start->voltage;
-    else
-        sol.voltage.assign(static_cast<size_t>(n) * n, cfg.vdd);
-
-    PdnSolverKind kind = cfg.solver;
-    if (kind == PdnSolverKind::Auto)
-        kind = (!warm || n > kRbMaxAutoSize)
-                   ? PdnSolverKind::Multigrid
-                   : PdnSolverKind::RedBlack;
-    switch (kind) {
-    case PdnSolverKind::Lexicographic:
-        solveLexicographic(sol);
-        break;
-    case PdnSolverKind::RedBlack:
-        solveRedBlack(sol, pool);
-        break;
-    default:
-        solveMultigrid(sol, pool);
-        break;
-    }
-    finishSolution(sol);
+    resolve(sol);
     return sol;
 }
 
 void
-PdnMesh::resolve(PdnSolution &sol, exec::ExecPool *pool) const
+PdnMesh::resolve(PdnSolution &sol) const
 {
-    const int n = cfg.size;
-    const bool warm = sol.size == n &&
-                      sol.voltage.size() ==
-                          static_cast<size_t>(n) * n;
-    if (!warm) {
-        sol.size = n;
-        sol.voltage.assign(static_cast<size_t>(n) * n, cfg.vdd);
-    }
-    PdnSolverKind kind = cfg.solver;
-    if (kind == PdnSolverKind::Auto)
-        kind = (!warm || n > kRbMaxAutoSize)
-                   ? PdnSolverKind::Multigrid
-                   : PdnSolverKind::RedBlack;
-    switch (kind) {
-    case PdnSolverKind::Lexicographic:
-        solveLexicographic(sol);
-        break;
-    case PdnSolverKind::RedBlack:
-        solveRedBlack(sol, pool);
-        break;
-    default:
-        solveMultigrid(sol, pool);
-        break;
-    }
+    sol.size = cfg.size;
+    buildDcSource(sol.voltage);
+    dcFactor->solve(sol.voltage.data());
     finishSolution(sol);
-}
-
-void
-PdnMesh::solveRedBlack(PdnSolution &sol, exec::ExecPool *pool) const
-{
-    buildDcSource();
-    const SweepGrid gr{cfg.size,
-                       cfg.sheetConductance,
-                       1.0 - cfg.omega,
-                       srcScratch.data(),
-                       dcDiag.data(),
-                       dcInvW.data()};
-    runSweeps(gr, sol.voltage.data(), pool, cfg.maxIterations,
-              cfg.tolerance, sol.iterations, sol.residual,
-              sol.converged);
-}
-
-void
-PdnMesh::solveLexicographic(PdnSolution &sol) const
-{
-    const int n = cfg.size;
-    const double g = cfg.sheetConductance;
-    const double gb = cfg.bumpConductance;
-
-    // The seed's single-order SOR, kept bit-for-bit as the reference
-    // implementation: V_i = (sum_j g V_j + gb VDD [bump] - I_i) /
-    // G_i.  The interior of the grid (all four neighbours present)
-    // is the bulk of the nodes and runs without boundary branches;
-    // edge nodes take the general path.  Accumulation order is kept
-    // identical to the general path, so the fast path changes no
-    // bits -- only branch misprediction and index arithmetic.
-    const double g4 = ((g + g) + g) + g;
-    double *v = sol.voltage.data();
-    const double *load = loadA.data();
-    auto update = [&](int r, int c, double &residual) {
-        double gsum = 0.0;
-        double isum = -load[static_cast<size_t>(r) * n + c];
-        if (r > 0) {
-            gsum += g;
-            isum += g * v[static_cast<size_t>(r - 1) * n + c];
-        }
-        if (r + 1 < n) {
-            gsum += g;
-            isum += g * v[static_cast<size_t>(r + 1) * n + c];
-        }
-        if (c > 0) {
-            gsum += g;
-            isum += g * v[static_cast<size_t>(r) * n + c - 1];
-        }
-        if (c + 1 < n) {
-            gsum += g;
-            isum += g * v[static_cast<size_t>(r) * n + c + 1];
-        }
-        if (isBump(r, c)) {
-            gsum += gb;
-            isum += gb * cfg.vdd;
-        }
-        double &v_old = v[static_cast<size_t>(r) * n + c];
-        const double v_sor =
-            v_old + cfg.omega * (isum / gsum - v_old);
-        residual =
-            std::max(residual, std::fabs(gsum * (v_sor - v_old)));
-        v_old = v_sor;
-    };
-    double residual = 0.0;
-    int iter = 0;
-    for (; iter < cfg.maxIterations; ++iter) {
-        residual = 0.0;
-        for (int r = 0; r < n; ++r) {
-            const bool interior_row = r > 0 && r + 1 < n;
-            if (!interior_row) {
-                for (int c = 0; c < n; ++c)
-                    update(r, c, residual);
-                continue;
-            }
-            double *row = v + static_cast<size_t>(r) * n;
-            const double *up = row - n;
-            const double *down = row + n;
-            const double *ld = load + static_cast<size_t>(r) * n;
-            const bool bump_row = r % cfg.bumpPitch == 0;
-            update(r, 0, residual);
-            for (int c = 1; c + 1 < n; ++c) {
-                const bool bump =
-                    bump_row && c % cfg.bumpPitch == 0;
-                double isum = -ld[c];
-                isum += g * up[c];
-                isum += g * down[c];
-                isum += g * row[c - 1];
-                isum += g * row[c + 1];
-                double gsum = g4;
-                if (bump) {
-                    gsum += gb;
-                    isum += gb * cfg.vdd;
-                }
-                const double v_old = row[c];
-                const double v_sor =
-                    v_old + cfg.omega * (isum / gsum - v_old);
-                residual = std::max(
-                    residual, std::fabs(gsum * (v_sor - v_old)));
-                row[c] = v_sor;
-            }
-            update(r, n - 1, residual);
-        }
-        if (residual < cfg.tolerance)
-            break;
-    }
-    sol.iterations = iter;
-    sol.residual = residual;
-    sol.converged = residual < cfg.tolerance;
-}
-
-void
-PdnMesh::buildMultigrid()
-{
-    const double g = cfg.sheetConductance;
-    int n = cfg.size;
-    const size_t nn = static_cast<size_t>(n) * n;
-    mgInvW0.resize(nn);
-    for (size_t i = 0; i < nn; ++i)
-        mgInvW0[i] = kMgOmega / dcDiag[i];
-    mgRes0.assign(nn, 0.0);
-
-    // The "extra" diagonal -- everything beyond the neighbour links,
-    // i.e. the bump-to-supply conductances -- is what grounds the
-    // coarse error equations.  Coarsen it Galerkin-style: the
-    // diagonal of P^T diag(extra) P, each fine entry scattered onto
-    // its coarse interpolants with squared weights (off-diagonal
-    // couplings this drops are small and only affect the
-    // preconditioner, never the answer -- the outer loop gates on
-    // the true fine-grid residual).
-    std::vector<double> extra(nn, 0.0);
-    for (int b : bumpIdx)
-        extra[b] = cfg.bumpConductance;
-
-    while (n > kMgCoarsestSize) {
-        const int nc = (n + 1) / 2;
-        MgLevel lvl;
-        lvl.n = nc;
-        lvl.pj0.resize(n);
-        lvl.pj1.resize(n);
-        lvl.pw0.resize(n);
-        lvl.pw1.resize(n);
-        // Coarse node J sits on fine node 2J; even fine nodes inject
-        // (weight 1), odd ones interpolate their two coarse
-        // neighbours (clamped to one at the far edge).
-        for (int i = 0; i < n; ++i) {
-            if ((i & 1) == 0 || i / 2 + 1 >= nc) {
-                lvl.pj0[i] = i / 2;
-                lvl.pw0[i] = 1.0;
-                lvl.pj1[i] = i / 2;
-                lvl.pw1[i] = 0.0;
-            } else {
-                lvl.pj0[i] = i / 2;
-                lvl.pw0[i] = 0.5;
-                lvl.pj1[i] = i / 2 + 1;
-                lvl.pw1[i] = 0.5;
-            }
-        }
-        const size_t cnn = static_cast<size_t>(nc) * nc;
-        std::vector<double> cextra(cnn, 0.0);
-        for (int r = 0; r < n; ++r)
-            for (int c = 0; c < n; ++c) {
-                const double e = extra[static_cast<size_t>(r) * n + c];
-                if (e == 0.0)
-                    continue;
-                const int jr[2] = {lvl.pj0[r], lvl.pj1[r]};
-                const double wr[2] = {lvl.pw0[r], lvl.pw1[r]};
-                const int jc[2] = {lvl.pj0[c], lvl.pj1[c]};
-                const double wc[2] = {lvl.pw0[c], lvl.pw1[c]};
-                for (int a = 0; a < 2; ++a)
-                    for (int b = 0; b < 2; ++b) {
-                        const double w = wr[a] * wc[b];
-                        cextra[static_cast<size_t>(jr[a]) * nc +
-                               jc[b]] += e * w * w;
-                    }
-            }
-        // Sheet conductance is scale-invariant in 2-D (a square of
-        // sheet is a square of sheet), so neighbour links keep g at
-        // every level; only the grid shrinks.
-        lvl.diag.resize(cnn);
-        lvl.invW.resize(cnn);
-        for (int r = 0; r < nc; ++r)
-            for (int c = 0; c < nc; ++c) {
-                double d = 0.0;
-                if (r > 0)
-                    d += g;
-                if (r + 1 < nc)
-                    d += g;
-                if (c > 0)
-                    d += g;
-                if (c + 1 < nc)
-                    d += g;
-                d += cextra[static_cast<size_t>(r) * nc + c];
-                lvl.diag[static_cast<size_t>(r) * nc + c] = d;
-                lvl.invW[static_cast<size_t>(r) * nc + c] =
-                    kMgOmega / d;
-            }
-        lvl.v.assign(cnn, 0.0);
-        lvl.src.assign(cnn, 0.0);
-        lvl.res.assign(cnn, 0.0);
-        mg.push_back(std::move(lvl));
-        extra = std::move(cextra);
-        n = nc;
-    }
-}
-
-void
-PdnMesh::mgVCycle(int lvl, double *v, const double *src,
-                  const double *diag, const double *invW, int n,
-                  exec::ExecPool *pool) const
-{
-    const double g = cfg.sheetConductance;
-    const SweepGrid gr{n, g, 1.0 - kMgOmega, src, diag, invW};
-    exec::ExecPool *par =
-        (pool && pool->threads() > 1 && n >= kParMinSize) ? pool
-                                                          : nullptr;
-
-    if (lvl == static_cast<int>(mg.size())) {
-        // Coarsest grid: cheap enough to sweep to tolerance.
-        for (int it = 0; it < kMgCoarseSweeps; ++it)
-            if (sweepOnce(gr, v, par) < cfg.tolerance)
-                break;
-        return;
-    }
-
-    for (int s = 0; s < kMgPreSweeps; ++s)
-        sweepOnce(gr, v, par);
-
-    // Residual -> restrict -> solve the coarse error equation ->
-    // prolong the correction back -> post-smooth.
-    double *rf = lvl == 0 ? mgRes0.data() : mg[lvl - 1].res.data();
-    computeResidual(n, g, v, src, diag, rf);
-    MgLevel &cl = mg[lvl];
-    const int nc = cl.n;
-    std::fill(cl.src.begin(), cl.src.end(), 0.0);
-    for (int r = 0; r < n; ++r) {
-        const int jr0 = cl.pj0[r], jr1 = cl.pj1[r];
-        const double wr0 = cl.pw0[r], wr1 = cl.pw1[r];
-        for (int c = 0; c < n; ++c) {
-            const double rv = rf[static_cast<size_t>(r) * n + c];
-            const int jc0 = cl.pj0[c], jc1 = cl.pj1[c];
-            const double wc0 = cl.pw0[c], wc1 = cl.pw1[c];
-            cl.src[static_cast<size_t>(jr0) * nc + jc0] +=
-                wr0 * wc0 * rv;
-            cl.src[static_cast<size_t>(jr0) * nc + jc1] +=
-                wr0 * wc1 * rv;
-            cl.src[static_cast<size_t>(jr1) * nc + jc0] +=
-                wr1 * wc0 * rv;
-            cl.src[static_cast<size_t>(jr1) * nc + jc1] +=
-                wr1 * wc1 * rv;
-        }
-    }
-    std::fill(cl.v.begin(), cl.v.end(), 0.0);
-    mgVCycle(lvl + 1, cl.v.data(), cl.src.data(), cl.diag.data(),
-             cl.invW.data(), nc, pool);
-    const double *cv = cl.v.data();
-    for (int r = 0; r < n; ++r) {
-        const int jr0 = cl.pj0[r], jr1 = cl.pj1[r];
-        const double wr0 = cl.pw0[r], wr1 = cl.pw1[r];
-        for (int c = 0; c < n; ++c) {
-            const int jc0 = cl.pj0[c], jc1 = cl.pj1[c];
-            const double wc0 = cl.pw0[c], wc1 = cl.pw1[c];
-            v[static_cast<size_t>(r) * n + c] +=
-                wr0 * (wc0 * cv[static_cast<size_t>(jr0) * nc + jc0] +
-                       wc1 * cv[static_cast<size_t>(jr0) * nc +
-                                jc1]) +
-                wr1 * (wc0 * cv[static_cast<size_t>(jr1) * nc + jc0] +
-                       wc1 * cv[static_cast<size_t>(jr1) * nc + jc1]);
-        }
-    }
-
-    for (int s = 0; s < kMgPostSweeps; ++s)
-        sweepOnce(gr, v, par);
-}
-
-void
-PdnMesh::solveMultigrid(PdnSolution &sol, exec::ExecPool *pool) const
-{
-    if (mg.empty()) {
-        // Mesh too small to coarsen: plain red-black is the faster
-        // cold solve anyway.
-        solveRedBlack(sol, pool);
-        return;
-    }
-    buildDcSource();
-    const int n = cfg.size;
-    const double g = cfg.sheetConductance;
-    double *v = sol.voltage.data();
-    const double *src = srcScratch.data();
-    const double *diag = dcDiag.data();
-
-    double resid = residualMax(n, g, v, src, diag);
-    int cycles = 0;
-    while (resid >= cfg.tolerance && cycles < cfg.maxIterations) {
-        mgVCycle(0, v, src, diag, mgInvW0.data(), n, pool);
-        ++cycles;
-        resid = residualMax(n, g, v, src, diag);
-    }
-    sol.iterations = cycles;
-    sol.residual = resid;
-    sol.converged = resid < cfg.tolerance;
 }
 
 double
@@ -775,9 +301,10 @@ PdnMesh::kclResidualMax(const PdnSolution &sol) const
     aim_assert(sol.size == n &&
                    sol.voltage.size() == static_cast<size_t>(n) * n,
                "solution does not match the mesh");
-    buildDcSource();
+    std::vector<double> src;
+    buildDcSource(src);
     return residualMax(n, cfg.sheetConductance, sol.voltage.data(),
-                       srcScratch.data(), dcDiag.data());
+                       src.data(), dcDiag.data());
 }
 
 PdnTransientState
@@ -796,6 +323,27 @@ PdnMesh::transientInit(const PdnSolution &dc) const
     return state;
 }
 
+const PdnMesh::Factor &
+PdnMesh::transientFactor(double dt_sec, double gc, double gbe) const
+{
+    if (lastStep && lastDtSec == dt_sec)
+        return *lastStep;
+    std::lock_guard<std::mutex> lock(stepFactors->mutex);
+    std::unique_ptr<const Factor> &slot = stepFactors->byDt[dt_sec];
+    if (!slot) {
+        std::vector<double> diag(baseDiag.size());
+        for (size_t i = 0; i < diag.size(); ++i)
+            diag[i] = baseDiag[i] + gc;
+        for (int b : bumpIdx)
+            diag[b] += gbe;
+        slot = std::make_unique<const Factor>(
+            cfg.size, cfg.sheetConductance, diag);
+    }
+    lastStep = slot.get();
+    lastDtSec = dt_sec;
+    return *slot;
+}
+
 void
 PdnMesh::stepTransient(double dt_sec, PdnTransientState &state) const
 {
@@ -808,12 +356,6 @@ PdnMesh::stepTransient(double dt_sec, PdnTransientState &state) const
     aim_assert(state.bumpA.size() == bumpIdx.size(),
                "transient state bump count");
 
-    if (cfg.solver == PdnSolverKind::Lexicographic) {
-        stepTransientLexicographic(dt_sec, state);
-        return;
-    }
-
-    const size_t nn = static_cast<size_t>(n) * n;
     const double gb = cfg.bumpConductance;
     // Backward Euler, branch-implicit:
     //   decap     C dV/dt           ->  gc = C/dt into the diagonal,
@@ -821,219 +363,40 @@ PdnMesh::stepTransient(double dt_sec, PdnTransientState &state) const
     //   bump L    L dI/dt = Vdd - V - I/gb
     //             -> I' = gbe (Vdd + (L/dt) I_prev - V'),
     //                gbe = 1 / (1/gb + L/dt)
-    // so the step is one SOR solve of a network whose diagonal only
+    // so the step is one SPD solve of a network whose diagonal only
     // grew -- unconditionally stable for any dt.  With no storage
-    // elements (gc == l_dt == 0) the step must be the warm DC solve
-    // bit for bit, so that case runs on the DC diagonal arrays and
-    // the DC source expression rather than trusting +0.0 terms to
-    // vanish.
+    // elements (gc == l_dt == 0) the matrix is the DC one, so the
+    // step reuses the DC factor; the source below then reduces to
+    // the DC source bit for bit (0 * V_prev and 0 * I_prev vanish).
     const double gc = cfg.decapFarad / dt_sec;
     const double l_dt = cfg.bumpInductanceH / dt_sec;
     const double gbe =
         l_dt == 0.0 ? gb : 1.0 / (1.0 / gb + l_dt);
-    const bool storageless = gc == 0.0 && l_dt == 0.0;
+    const Factor &factor = gc == 0.0 && l_dt == 0.0
+                               ? *dcFactor
+                               : transientFactor(dt_sec, gc, gbe);
 
-    const double *diag;
-    const double *invW;
-    if (storageless) {
-        diag = dcDiag.data();
-        invW = dcInvW.data();
-    } else {
-        // dt is constant across a backend round, so the diagonal and
-        // its reciprocal are cached in the state and rebuilt only
-        // when dt changes: the per-window step pays zero divisions.
-        if (state.cachedDtSec != dt_sec) {
-            state.diag.resize(nn);
-            state.invW.resize(nn);
-            for (size_t i = 0; i < nn; ++i)
-                state.diag[i] = baseDiag[i] + gc;
-            for (int b : bumpIdx)
-                state.diag[b] += gbe;
-            for (size_t i = 0; i < nn; ++i)
-                state.invW[i] = cfg.omega / state.diag[i];
-            state.cachedDtSec = dt_sec;
-        }
-        diag = state.diag.data();
-        invW = state.invW.data();
-    }
-
-    // The previous step's voltages freeze into the scratch buffer
-    // and the solution evolves in place (it already holds the warm
-    // start): this is the backend's every-window hot loop, so the
-    // step reuses the state's scratch capacity instead of paying
-    // per-window heap traffic.
-    state.prevVoltage.assign(state.sol.voltage.begin(),
-                             state.sol.voltage.end());
-    const double *vp = state.prevVoltage.data();
-
-    state.src.resize(nn);
-    if (storageless) {
-        for (size_t i = 0; i < nn; ++i)
-            state.src[i] = -loadA[i];
-    } else {
-        for (size_t i = 0; i < nn; ++i)
-            state.src[i] = gc * vp[i] - loadA[i];
-    }
+    // The previous voltages turn into the source in place (each
+    // entry is read before it is overwritten), so the every-window
+    // step allocates nothing.
+    double *v = state.sol.voltage.data();
+    const size_t nn = loadA.size();
+    for (size_t i = 0; i < nn; ++i)
+        v[i] = gc * v[i] - loadA[i];
     // Per-bump history source gbe (Vdd + (L/dt) I_prev); with l_dt
     // == 0 this is exactly the DC bump injection gb * Vdd.
     {
         size_t k = 0;
         for (int b : bumpIdx) {
-            state.src[b] +=
-                gbe * (cfg.vdd + l_dt * state.bumpA[k]);
+            v[b] += gbe * (cfg.vdd + l_dt * state.bumpA[k]);
             ++k;
         }
     }
-
-    const SweepGrid gr{n,
-                       cfg.sheetConductance,
-                       1.0 - cfg.omega,
-                       state.src.data(),
-                       diag,
-                       invW};
-    runSweeps(gr, state.sol.voltage.data(), nullptr,
-              cfg.maxIterations, cfg.tolerance, state.sol.iterations,
-              state.sol.residual, state.sol.converged);
+    factor.solve(v);
 
     // Branch update + bump observables from the implicit equations,
     // so the reported current is consistent with the step just taken
     // (total bump charge balances load charge plus decap charge).
-    const double *v = state.sol.voltage.data();
-    double current = 0.0;
-    double v_acc = 0.0;
-    size_t k = 0;
-    for (int b : bumpIdx) {
-        const double node_v = v[b];
-        const double i_new =
-            gbe * (cfg.vdd + l_dt * state.bumpA[k] - node_v);
-        state.bumpA[k] = i_new;
-        current += i_new;
-        v_acc += node_v;
-        ++k;
-    }
-    state.sol.bumpCurrentA = current;
-    state.sol.bumpVoltage =
-        k > 0 ? v_acc / static_cast<double>(k) : cfg.vdd;
-}
-
-void
-PdnMesh::stepTransientLexicographic(double dt_sec,
-                                    PdnTransientState &state) const
-{
-    const int n = cfg.size;
-    const double g = cfg.sheetConductance;
-    const double gb = cfg.bumpConductance;
-    // The seed's single-order transient step, kept bit-for-bit so
-    // PdnSolverKind::Lexicographic reproduces the pre-red-black
-    // simulator exactly (same discretization as stepTransient above).
-    const double gc = cfg.decapFarad / dt_sec;
-    const double l_dt = cfg.bumpInductanceH / dt_sec;
-    const double gbe = 1.0 / (1.0 / gb + l_dt);
-
-    state.prevVoltage.assign(state.sol.voltage.begin(),
-                             state.sol.voltage.end());
-
-    // Per-bump history source gbe (Vdd + (L/dt) I_prev), flattened
-    // to the node index for the sweeps.
-    state.src.assign(static_cast<size_t>(n) * n, 0.0);
-    {
-        size_t k = 0;
-        for (int b : bumpIdx) {
-            state.src[b] = gbe * (cfg.vdd + l_dt * state.bumpA[k]);
-            ++k;
-        }
-    }
-
-    // SOR sweeps, same shape as solveLexicographic(): interior fast
-    // path without boundary branches, identical accumulation order
-    // on the general path.  Every node additionally carries the
-    // decap conductance and history source; bump nodes swap gb for
-    // gbe + history.
-    const double g4 = ((g + g) + g) + g;
-    double *v = state.sol.voltage.data();
-    const double *load = loadA.data();
-    const double *vp = state.prevVoltage.data();
-    const double *bs = state.src.data();
-    auto update = [&](int r, int c, double &residual) {
-        const size_t i = static_cast<size_t>(r) * n + c;
-        double gsum = gc;
-        double isum = gc * vp[i] - load[i];
-        if (r > 0) {
-            gsum += g;
-            isum += g * v[i - n];
-        }
-        if (r + 1 < n) {
-            gsum += g;
-            isum += g * v[i + n];
-        }
-        if (c > 0) {
-            gsum += g;
-            isum += g * v[i - 1];
-        }
-        if (c + 1 < n) {
-            gsum += g;
-            isum += g * v[i + 1];
-        }
-        if (isBump(r, c)) {
-            gsum += gbe;
-            isum += bs[i];
-        }
-        double &v_old = v[i];
-        const double v_sor =
-            v_old + cfg.omega * (isum / gsum - v_old);
-        residual =
-            std::max(residual, std::fabs(gsum * (v_sor - v_old)));
-        v_old = v_sor;
-    };
-    double residual = 0.0;
-    int iter = 0;
-    for (; iter < cfg.maxIterations; ++iter) {
-        residual = 0.0;
-        for (int r = 0; r < n; ++r) {
-            const bool interior_row = r > 0 && r + 1 < n;
-            if (!interior_row) {
-                for (int c = 0; c < n; ++c)
-                    update(r, c, residual);
-                continue;
-            }
-            double *row = v + static_cast<size_t>(r) * n;
-            const double *up = row - n;
-            const double *down = row + n;
-            const double *ld = load + static_cast<size_t>(r) * n;
-            const double *pv = vp + static_cast<size_t>(r) * n;
-            const double *src = bs + static_cast<size_t>(r) * n;
-            const bool bump_row = r % cfg.bumpPitch == 0;
-            update(r, 0, residual);
-            for (int c = 1; c + 1 < n; ++c) {
-                const bool bump =
-                    bump_row && c % cfg.bumpPitch == 0;
-                double isum = gc * pv[c] - ld[c];
-                isum += g * up[c];
-                isum += g * down[c];
-                isum += g * row[c - 1];
-                isum += g * row[c + 1];
-                double gsum = g4 + gc;
-                if (bump) {
-                    gsum += gbe;
-                    isum += src[c];
-                }
-                const double v_old = row[c];
-                const double v_sor =
-                    v_old + cfg.omega * (isum / gsum - v_old);
-                residual = std::max(
-                    residual, std::fabs(gsum * (v_sor - v_old)));
-                row[c] = v_sor;
-            }
-            update(r, n - 1, residual);
-        }
-        if (residual < cfg.tolerance)
-            break;
-    }
-    state.sol.iterations = iter;
-    state.sol.residual = residual;
-    state.sol.converged = residual < cfg.tolerance;
-
-    // Branch update + bump observables from the implicit equations.
     double current = 0.0;
     double v_acc = 0.0;
     size_t k = 0;

@@ -10,48 +10,24 @@
  * their footprint nodes.  Solving Kirchhoff's current law yields the
  * on-die voltage map; IR-drop is VDD minus that map.
  *
- * Three solve paths share one sweep kernel (see PdnSolverKind):
- * red-black ordered SOR (the default for warm incremental re-solves:
- * two data-independent half-sweeps, parallelizable over
- * exec::ExecPool with bit-identical results at any thread count), a
- * geometric-multigrid V-cycle (cold solves and large meshes), and
- * the seed's lexicographic SOR kept as the reference ordering the
- * property suite compares against (tests/power/SolverPropertyTest).
+ * One solve path: the nodal matrix is symmetric positive definite
+ * and, in row-major node order, banded with half-bandwidth equal to
+ * the mesh side, so it is factored once by banded Cholesky (the DC
+ * matrix at construction, each transient matrix G + C/dt + g_be on
+ * first use of its dt) and every solve is a source build plus a
+ * forward and a backward triangular sweep.  Solves are exact to
+ * round-off: there is no tolerance, iteration cap or warm start.
  */
 
 #ifndef AIM_POWER_PDNMESH_HH
 #define AIM_POWER_PDNMESH_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
-namespace aim::exec
-{
-class ExecPool;
-}
-
 namespace aim::power
 {
-
-/**
- * Which solver answers PdnMesh::solve.
- *
- *   Auto          -- multigrid for cold solves and meshes larger
- *                    than kRbMaxAutoSize (24) nodes per side;
- *                    warm-started red-black SOR for incremental
- *                    re-solves (the droop backends' per-window path).
- *   Lexicographic -- the seed's single-order SOR sweeps, kept as the
- *                    bit-stable reference implementation.
- *   RedBlack      -- force red-black SOR for every solve.
- *   Multigrid     -- force the V-cycle for every solve.
- */
-enum class PdnSolverKind : int
-{
-    Auto,
-    Lexicographic,
-    RedBlack,
-    Multigrid,
-};
 
 /** Mesh geometry and electrical parameters. */
 struct PdnMeshConfig
@@ -66,25 +42,10 @@ struct PdnMeshConfig
     int bumpPitch = 6;
     /** Supply voltage at the bumps [V]. */
     double vdd = 0.75;
-    /** SOR relaxation factor. */
-    double omega = 1.88;
-    /**
-     * Convergence threshold on the max KCL residual [A].  The single
-     * tolerance constant every solve path gates on -- SOR sweeps,
-     * the multigrid outer loop and its coarsest-level solve, and
-     * transient steps; PdnSolution::converged reports the outcome so
-     * callers (the droop backends' quiet-window guard) never
-     * re-derive it.
-     */
-    double tolerance = 1e-7;
-    /** Iteration cap: SOR sweeps, or V-cycles on the multigrid path. */
-    int maxIterations = 20000;
-    /** Solve-path selection (see PdnSolverKind). */
-    PdnSolverKind solver = PdnSolverKind::Auto;
     /**
      * Decap from every node to ground [F].  Zero (the default) keeps
-     * the mesh purely resistive: stepTransient degenerates to a
-     * warm-started DC solve and the DC solve() path never reads it.
+     * the mesh purely resistive: stepTransient degenerates to the DC
+     * solve and the DC solve() path never reads it.
      */
     double decapFarad = 0.0;
     /**
@@ -101,17 +62,6 @@ struct PdnSolution
     /** Node voltages, row-major size x size [V]. */
     std::vector<double> voltage;
     int size = 0;
-    /** Iterations used: SOR sweeps, or V-cycles for multigrid. */
-    int iterations = 0;
-    /** Max |KCL residual| at the last iteration [A]. */
-    double residual = 0.0;
-    /**
-     * True when the solver reached PdnMeshConfig::tolerance within
-     * its iteration cap -- the one convergence predicate shared by
-     * every solve path and by the droop backends' quiet-window
-     * guard.
-     */
-    bool converged = false;
     /** Total current delivered through the bumps [A]. */
     double bumpCurrentA = 0.0;
     /** Mean voltage across bump nodes [V]. */
@@ -142,38 +92,23 @@ struct PdnLoadDelta
  */
 struct PdnTransientState
 {
-    /** Node voltages at the last step (doubles as the warm start). */
+    /** Node voltages at the last step. */
     PdnSolution sol;
     /** Bump-branch inductor currents [A], row-major over bumps. */
     std::vector<double> bumpA;
-
-    /**
-     * Scratch of stepTransient (previous-step voltages, dense source
-     * vector, dt-cached diagonal and its scaled reciprocal), kept
-     * here so the every-window step allocates nothing after its
-     * first call.  Contents are meaningless between calls except the
-     * diagonal cache, which stepTransient rebuilds whenever dt
-     * changes.
-     */
-    std::vector<double> prevVoltage;
-    std::vector<double> src;
-    std::vector<double> diag;
-    std::vector<double> invW;
-    double cachedDtSec = -1.0;
 };
 
 /**
- * PDN mesh solver.  Immutable geometry (conductances, bumps and the
- * precomputed nodal diagonals) with a mutable load set.  The solve
- * methods reuse internal scratch buffers, so concurrent solve()
- * calls on ONE instance race -- callers that parallelize hold one
- * mesh per worker (the droop backends already hold one per
- * round-eval); a single solve may itself fan out over an
- * exec::ExecPool bit-deterministically.
+ * PDN mesh solver.  Immutable geometry and factors with a mutable
+ * load set.  Copies share the factors, including the per-dt
+ * transient cache (internally locked), so a backend builds one mesh
+ * and hands each concurrent evaluator its own copy.  One instance is
+ * not for concurrent use: its load set is unsynchronized.
  */
 class PdnMesh
 {
   public:
+    /** Validates the config and factors the DC nodal matrix. */
     explicit PdnMesh(const PdnMeshConfig &cfg);
 
     /** Zero all load currents. */
@@ -191,12 +126,15 @@ class PdnMesh
                       double currentA);
 
     /**
-     * Apply a batch of sparse load deltas in one pass -- the droop
-     * backends' per-window path: every dirty group's demand delta,
-     * pre-scattered onto flat node indices, lands in a single call
-     * instead of per-group addBlockLoad rectangles.
+     * Apply a batch of sparse load deltas in one pass -- the
+     * transient backend's per-window path: every group's demand
+     * delta, pre-scattered onto flat node indices, lands in a single
+     * call instead of per-group addBlockLoad rectangles.
      */
     void applyLoadDeltas(const std::vector<PdnLoadDelta> &deltas);
+
+    /** Per-node load currents, row-major [A]. */
+    const std::vector<double> &loads() const { return loadA; }
 
     /** Flat row-major index of a node. */
     int
@@ -205,39 +143,14 @@ class PdnMesh
         return row * cfg.size + col;
     }
 
-    /** Solve KCL for the current load set (flat-VDD initial guess). */
+    /** Solve KCL for the current load set. */
     PdnSolution solve() const;
 
     /**
-     * Solve KCL warm-started from a previous solution.  When
-     * @p warmStart matches the mesh size its voltage map seeds the
-     * sweeps, so a re-solve after a small load perturbation
-     * converges in a handful of iterations instead of a cold solve's
-     * hundreds (see PdnMeshTest.WarmStartCutsIterations).  A null or
-     * mismatched warm start falls back to the flat-VDD guess -- and,
-     * under PdnSolverKind::Auto, onto the multigrid path.
+     * In-place solve: @p sol's voltage buffer is reused, so a caller
+     * that re-solves every step allocates nothing after the first.
      */
-    PdnSolution solve(const PdnSolution *warmStart) const;
-
-    /**
-     * Solve with the red-black half-sweeps (and the multigrid
-     * smoother) fanned out over @p pool.  Results are bit-identical
-     * to the serial solve at every thread count: each half-sweep
-     * only reads the opposite colour, so node updates are
-     * order-independent, and the residual is a max-reduction.  A
-     * null pool (or the lexicographic path) runs serially.
-     */
-    PdnSolution solve(const PdnSolution *warmStart,
-                      exec::ExecPool *pool) const;
-
-    /**
-     * In-place re-solve: @p sol doubles as the warm start and the
-     * result, so the droop backends' per-window loop allocates
-     * nothing.  An empty or mismatched @p sol cold-starts from the
-     * flat-VDD guess.
-     */
-    void resolve(PdnSolution &sol,
-                 exec::ExecPool *pool = nullptr) const;
+    void resolve(PdnSolution &sol) const;
 
     /**
      * Consistent transient state for a DC operating point: voltages
@@ -250,25 +163,23 @@ class PdnMesh
 
     /**
      * Advance the RC/RL network one backward-Euler step of @p dtSec
-     * seconds from @p state (which doubles as the warm start) under
-     * the current load set, in place.
+     * seconds from @p state under the current load set, in place.
      *
      * Branch-implicit discretization: the bump inductor current is
      * eliminated into the nodal system (an effective bump conductance
      * 1/(1/gb + L/dt) plus a history source), and every node gains a
      * decap conductance C/dt with a C/dt * V_prev history source, so
-     * the step is one diagonally-dominant SOR solve -- unconditionally
-     * stable at any dt.  With decapFarad == 0 and bumpInductanceH ==
-     * 0 (or dt -> infinity) the step *is* the warm-started DC solve,
-     * bit for bit: both run the same sweep kernel in the same order
-     * (red-black, or lexicographic when the config says so).
+     * the step is one SPD solve -- unconditionally stable at any dt.
+     * Its matrix depends only on dt; it is factored on the first step
+     * of each distinct dt and cached for every copy of this mesh.
+     * With decapFarad == 0 and bumpInductanceH == 0 the step *is* the
+     * DC solve, bit for bit: same factor, same source.
      */
     void stepTransient(double dtSec, PdnTransientState &state) const;
 
     /**
      * Max |KCL residual| of @p sol under the current load set [A] --
-     * the solver-independent convergence check the property suite
-     * gates every solve path on.
+     * the solver-independent check the property suite gates on.
      */
     double kclResidualMax(const PdnSolution &sol) const;
 
@@ -277,67 +188,34 @@ class PdnMesh
 
     const PdnMeshConfig &config() const { return cfg; }
 
-    /** Auto picks red-black only at size <= this (else multigrid). */
-    static constexpr int kRbMaxAutoSize = 24;
-
   private:
-    /**
-     * One coarse grid of the multigrid hierarchy (level >= 1; the
-     * finest level lives in the caller's PdnSolution).  pj0/pj1 and
-     * pw0/pw1 map each 1-D index of the PARENT (finer) grid onto two
-     * coarse indices with linear-interpolation weights; the 2-D
-     * restriction/prolongation operators are their tensor product.
-     */
-    struct MgLevel
-    {
-        int n = 0;
-        /** Nodal diagonal: neighbour links + aggregated supply. */
-        std::vector<double> diag;
-        /** Smoother reciprocal, kMgOmega / diag. */
-        std::vector<double> invW;
-        /** Fine-index -> coarse interpolation (second weight may
-         *  be zero: even rows/cols and the clamped far edge). */
-        std::vector<int> pj0, pj1;
-        std::vector<double> pw0, pw1;
-        /** Correction, restricted residual, residual scratch. */
-        std::vector<double> v, src, res;
-    };
+    class Factor;
+    class FactorCache;
 
-    void solveLexicographic(PdnSolution &sol) const;
-    void solveRedBlack(PdnSolution &sol, exec::ExecPool *pool) const;
-    void solveMultigrid(PdnSolution &sol, exec::ExecPool *pool) const;
-    /** Seed-order SOR transient step (reference path). */
-    void stepTransientLexicographic(double dtSec,
-                                    PdnTransientState &state) const;
-    /** Fill srcScratch with the DC source vector (loads + bumps). */
-    void buildDcSource() const;
-    /** Bump observables of a finished solve. */
+    /** DC source vector (loads + bump injection) into @p x. */
+    void buildDcSource(std::vector<double> &x) const;
+    /** Bump observables of a finished DC solve. */
     void finishSolution(PdnSolution &sol) const;
-    /** Build the coarse-grid hierarchy (at construction). */
-    void buildMultigrid();
-    /** One V-cycle recursion step over level @p lvl. */
-    void mgVCycle(int lvl, double *v, const double *src,
-                  const double *diag, const double *invW, int n,
-                  exec::ExecPool *pool) const;
+    /** Transient factor for @p dtSec (cached per dt). */
+    const Factor &transientFactor(double dtSec, double gc,
+                                  double gbe) const;
 
     PdnMeshConfig cfg;
     std::vector<double> loadA;
 
     // Geometry precomputed at construction: flat bump indices
-    // (row-major), the neighbour-link diagonal, the DC diagonal
-    // (+bump conductance) and its omega-scaled reciprocal -- the
-    // sweep kernels run division-free.
+    // (row-major), the neighbour-link diagonal and the DC diagonal
+    // (+bump conductance).
     std::vector<int> bumpIdx;
     std::vector<double> baseDiag;
     std::vector<double> dcDiag;
-    std::vector<double> dcInvW;
-    /** Finest-level multigrid smoother reciprocal (kMgOmega/diag). */
-    std::vector<double> mgInvW0;
 
-    // Per-solve scratch (see the class comment on thread safety).
-    mutable std::vector<double> srcScratch;
-    mutable std::vector<double> mgRes0;
-    mutable std::vector<MgLevel> mg; ///< coarse levels, finest first
+    std::shared_ptr<const Factor> dcFactor;
+    std::shared_ptr<FactorCache> stepFactors;
+    /** Last transient factor this copy used, to skip the locked
+     *  cache lookup while dt holds (the common case). */
+    mutable const Factor *lastStep = nullptr;
+    mutable double lastDtSec = -1.0;
 };
 
 } // namespace aim::power

@@ -8,14 +8,6 @@
 namespace aim::power
 {
 
-/**
- * Per-round transient evaluator: the RC/RL state (node voltages +
- * bump inductor currents) advanced one implicit-Euler step per
- * window.  Unlike MeshEval there is no dirty-window gating -- time
- * advances every window whether or not the demand moved, which is
- * exactly what lets a constant demand relax onto the DC solution and
- * a demand step excite the first-droop transient.
- */
 /** The transient backend's exportable electrical state: the RC/RL
  * snapshot (node voltages + bump inductor currents) of a settled
  * round.  Loads are not carried -- the next round re-injects its own
@@ -30,13 +22,21 @@ struct TransientIrState final : IrState
     PdnTransientState state;
 };
 
+/**
+ * Per-round transient evaluator: the RC/RL state (node voltages +
+ * bump inductor currents) advanced one implicit-Euler step per
+ * window.  Unlike MeshEval there is no dirty-window gating -- time
+ * advances every window whether or not the demand moved, which is
+ * exactly what lets a constant demand relax onto the DC solution and
+ * a demand step excite the first-droop transient.
+ */
 class TransientEval final : public IrEval
 {
   public:
     TransientEval(const TransientBackend &backend,
                   const std::vector<std::vector<int>> &activeMacros,
                   const TransientIrState *seed = nullptr)
-        : bk(backend), mesh(backend.transCfg)
+        : bk(backend), mesh(backend.transMesh)
     {
         const auto rects = bk.groupRects(activeMacros);
         groupNodes = bk.groupNodeLists(rects);
@@ -54,8 +54,7 @@ class TransientEval final : public IrEval
             state = seed->state;
         } else {
             // Seed the electrical state from the construction-time
-            // full-activity DC point (the same seed MeshEval
-            // warm-starts from) with the load set empty: the first
+            // full-activity DC point with the load set empty: the first
             // windows inject the round's actual demand and the RC
             // state physically relaxes onto it, as if the chip came
             // out of a heavy phase.
@@ -115,7 +114,7 @@ class TransientEval final : public IrEval
                     ? bk.scale *
                           MeshBackend::nodesDropMv(
                               state.sol, groupNodes[g],
-                              bk.transCfg.vdd)
+                              bk.transientConfig().vdd)
                     : 0.0;
             const double noisy = bk.ir.staticDropMv(gw.v) + dyn +
                                  rng.normal(0.0, bk.cal.dpimNoiseMv);
@@ -134,9 +133,12 @@ class TransientEval final : public IrEval
     std::vector<double> appliedA;
 };
 
-TransientBackend::TransientBackend(const IrBackendConfig &cfg,
-                                   const Calibration &cal)
-    : MeshBackend(cfg, cal)
+namespace
+{
+
+/** The backend's mesh with the transient storage elements added. */
+PdnMeshConfig
+transientMeshConfig(const IrBackendConfig &cfg, PdnMeshConfig mesh)
 {
     aim_assert(cfg.transientDecapNf > 0.0,
                "transient backend needs positive decap");
@@ -146,14 +148,18 @@ TransientBackend::TransientBackend(const IrBackendConfig &cfg,
     aim_assert(cfg.windowCycles > 0, "windowCycles must be positive");
     aim_assert(cfg.transientBumpPh >= 0.0,
                "negative bump inductance");
-    transCfg = warmCfg;
-    transCfg.decapFarad = cfg.transientDecapNf * 1e-9;
-    transCfg.bumpInductanceH = cfg.transientBumpPh * 1e-12;
-    // The decap conductance C/dt dominates the diagonal, so the
-    // implicit step converges in a handful of sweeps even from a
-    // poor guess; a cap well above the warm-solve budget keeps the
-    // step's charge accounting tight without a cold-solve cost.
-    transCfg.maxIterations = 40;
+    mesh.decapFarad = cfg.transientDecapNf * 1e-9;
+    mesh.bumpInductanceH = cfg.transientBumpPh * 1e-12;
+    return mesh;
+}
+
+} // namespace
+
+TransientBackend::TransientBackend(const IrBackendConfig &cfg,
+                                   const Calibration &cal)
+    : MeshBackend(cfg, cal),
+      transMesh(transientMeshConfig(cfg, meshConfig()))
+{
     autoDt = cfg.transientDtNs == 0.0;
     winCycles = cfg.windowCycles;
     stepSec = autoDt ? 0.0 : cfg.transientDtNs * 1e-9;

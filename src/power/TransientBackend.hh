@@ -4,7 +4,7 @@
  * and bump-branch loop inductance, advanced one backward-Euler step
  * per window (IrBackendKind::Transient).
  *
- * The purely resistive MeshBackend re-solves DC per window, so its
+ * The purely resistive MeshBackend reads DC droop per window, so its
  * droop is a memoryless function of the window's demand -- it cannot
  * produce the first-droop overshoot the paper's Figure 17 traces
  * show on load steps.  This backend keeps the node-voltage vector
@@ -18,8 +18,8 @@
  * the DC solve.
  *
  * Everything except the per-window step is inherited from
- * MeshBackend: the macro footprint mapping, the cold full-activity
- * solve and the Equation-2 anchor calibration (so all three backends
+ * MeshBackend: the macro footprint mapping, the full-activity solve
+ * and the Equation-2 anchor calibration (so all three backends
  * agree on how much current flows at full uniform activity, and the
  * transient backend disagrees only where history matters).
  */
@@ -39,9 +39,10 @@ class TransientBackend final : public MeshBackend
 {
   public:
     /**
-     * Pays MeshBackend's cold full-activity solve, then derives the
-     * transient mesh config (decap, bump inductance, step) from
-     * IrBackendConfig's transient* fields.
+     * Pays MeshBackend's construction, then builds the transient
+     * mesh (decap, bump inductance, step) from IrBackendConfig's
+     * transient* fields.  Its per-dt factors are cached on that mesh
+     * and shared by every evaluator's copy of it.
      */
     TransientBackend(const IrBackendConfig &cfg,
                      const Calibration &cal);
@@ -69,7 +70,10 @@ class TransientBackend final : public MeshBackend
             const IrState *seed) const override;
 
     /** Mesh config of the per-window transient steps. */
-    const PdnMeshConfig &transientConfig() const { return transCfg; }
+    const PdnMeshConfig &transientConfig() const
+    {
+        return transMesh.config();
+    }
 
     /** Fixed Backward-Euler step per window [s]; 0 in auto-dt mode
      * (IrBackendConfig::transientDtNs == 0). */
@@ -88,7 +92,8 @@ class TransientBackend final : public MeshBackend
   private:
     friend class TransientEval;
 
-    PdnMeshConfig transCfg;
+    /** Load-free transient mesh every evaluator copies. */
+    PdnMesh transMesh;
     double stepSec = 2e-9;
     bool autoDt = false;
     int winCycles = 8;

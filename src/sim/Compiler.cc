@@ -69,7 +69,10 @@ tileOperator(const workload::LayerSpec &spec,
         t.type = spec.type;
         t.setId = set_id;
         t.inputDetermined = workload::isInputDetermined(spec.type);
-        t.macs = spec.macs() / macros;
+        // Spread the remainder over the first tiles, one MAC each,
+        // so the tiles sum to the operator's MACs.
+        t.macs = spec.macs() / macros +
+                 (i < spec.macs() % macros ? 1 : 0);
         if (weights) {
             t.hr = chunkHr(*weights, i, macros);
         } else {

@@ -52,8 +52,8 @@ struct RunConfig
     /**
      * Droop-evaluation backend (power/IrBackend): Analytic keeps the
      * Equation-2 fast path (bit-identical to the pre-backend
-     * runtime); Mesh re-solves the PdnMesh PDN incrementally per
-     * window for layout-level fidelity; Transient advances an RC
+     * runtime); Mesh reads the exact DC droop of the PdnMesh PDN
+     * per window for layout-level fidelity; Transient advances an RC
      * mesh (decap + bump inductance) one implicit-Euler step per
      * window for di/dt first-droop fidelity.
      */

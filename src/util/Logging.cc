@@ -44,6 +44,16 @@ logMessage(LogLevel level, const char *file, int line,
     }
 }
 
+void
+logAndStop(LogLevel level, const char *file, int line,
+           const std::string &msg)
+{
+    logMessage(level, file, line, msg);
+    // logMessage ends the process at Fatal and Panic; any other level
+    // here is a misuse of the stopping entry point.
+    std::abort();
+}
+
 unsigned
 warnCount()
 {

@@ -38,6 +38,14 @@ enum class LogLevel
 void logMessage(LogLevel level, const char *file, int line,
                 const std::string &msg);
 
+/**
+ * logMessage for the Fatal and Panic levels, declared never to
+ * return so the compiler knows aim_fatal/aim_panic end control flow.
+ */
+[[noreturn, gnu::cold]]
+void logAndStop(LogLevel level, const char *file, int line,
+                const std::string &msg);
+
 /** Count of warnings emitted so far (used by tests). */
 unsigned warnCount();
 
@@ -75,13 +83,13 @@ concat(const Args &...args)
 
 /** Something happened that should never happen: an internal bug. */
 #define aim_panic(...)                                                     \
-    ::aim::util::logMessage(::aim::util::LogLevel::Panic, __FILE__,        \
+    ::aim::util::logAndStop(::aim::util::LogLevel::Panic, __FILE__,        \
                             __LINE__, ::aim::util::detail::concat(         \
                                 __VA_ARGS__))
 
 /** The run cannot continue because of a user-provided condition. */
 #define aim_fatal(...)                                                     \
-    ::aim::util::logMessage(::aim::util::LogLevel::Fatal, __FILE__,        \
+    ::aim::util::logAndStop(::aim::util::LogLevel::Fatal, __FILE__,        \
                             __LINE__, ::aim::util::detail::concat(         \
                                 __VA_ARGS__))
 

@@ -92,13 +92,14 @@ TEST(PdnMesh, BumpsAreOnPitchGrid)
     EXPECT_FALSE(mesh.isBump(4, 5));
 }
 
-TEST(PdnMesh, ConvergesWithinIterationCap)
+TEST(PdnMesh, SolveResidualAtRoundOff)
 {
+    // The solve is direct: no iteration cap to hit, and the KCL
+    // residual of its answer is round-off on amp-scale loads.
     PdnMesh mesh(smallMesh());
     mesh.addBlockLoad(4, 4, 8, 8, 3.0);
     const PdnSolution sol = mesh.solve();
-    EXPECT_LT(sol.iterations, smallMesh().maxIterations);
-    EXPECT_LT(sol.residual, smallMesh().tolerance);
+    EXPECT_LT(mesh.kclResidualMax(sol), 1e-10);
 }
 
 TEST(PdnMesh, HeatMapRenders)
@@ -125,47 +126,4 @@ TEST(PdnMesh, BumpVoltageBelowVddUnderLoad)
     const PdnSolution sol = mesh.solve();
     EXPECT_LT(sol.bumpVoltage, mesh.config().vdd);
     EXPECT_GT(sol.bumpVoltage, mesh.config().vdd - 0.2);
-}
-
-TEST(PdnMesh, WarmStartCutsIterations)
-{
-    // Re-solving after a small load perturbation from the previous
-    // solution must converge in a fraction of a cold solve's
-    // iterations -- the property the mesh droop backend's per-window
-    // solves rely on (power/MeshBackend).  Pinned to the red-black
-    // solver: under Auto a cold solve runs the multigrid V-cycle,
-    // whose iteration count (cycles) is not comparable to sweep
-    // counts.
-    PdnMeshConfig cfg = smallMesh();
-    cfg.solver = PdnSolverKind::RedBlack;
-    PdnMesh mesh(cfg);
-    mesh.addBlockLoad(4, 4, 8, 8, 2.0);
-    const PdnSolution cold = mesh.solve();
-
-    mesh.addBlockLoad(4, 4, 8, 8, 0.004); // 0.2% perturbation
-    const PdnSolution cold2 = mesh.solve();
-    const PdnSolution warm = mesh.solve(&cold);
-
-    // The warm start skips the global voltage build-up; what remains
-    // is diffusing the (tiny) perturbation, which still costs a
-    // tolerance-bound fraction of a cold solve.
-    EXPECT_LT(warm.iterations, cold2.iterations * 3 / 4);
-    EXPECT_LT(warm.residual, smallMesh().tolerance);
-    // Same loads, same tolerance: the solutions agree.
-    ASSERT_EQ(warm.voltage.size(), cold2.voltage.size());
-    for (size_t i = 0; i < warm.voltage.size(); ++i)
-        EXPECT_NEAR(warm.voltage[i], cold2.voltage[i], 1e-6);
-}
-
-TEST(PdnMesh, WarmStartWithMismatchedSizeFallsBack)
-{
-    PdnMesh mesh(smallMesh());
-    mesh.addBlockLoad(4, 4, 8, 8, 2.0);
-    PdnSolution bogus;
-    bogus.size = 7;
-    bogus.voltage.assign(49, 0.0);
-    const PdnSolution a = mesh.solve(&bogus);
-    const PdnSolution b = mesh.solve();
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_DOUBLE_EQ(a.bumpCurrentA, b.bumpCurrentA);
 }

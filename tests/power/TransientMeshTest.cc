@@ -45,7 +45,7 @@ sumVoltage(const PdnSolution &sol)
 
 TEST(TransientMesh, InitIsFixedPointOfDcOperatingPoint)
 {
-    // Seeded from a converged DC solution under unchanged loads, a
+    // Seeded from a DC solution under unchanged loads, a
     // step of any size must stay there (the history sources
     // reproduce the DC branch currents exactly).
     PdnMesh mesh(transientMesh());
@@ -86,26 +86,22 @@ TEST(TransientMesh, UnconditionallyStableAtLargeDt)
 TEST(TransientMesh, DegeneratesToDcSolveWithoutStorageElements)
 {
     // decap -> 0 (and the bump branches purely resistive): one
-    // transient step IS the warm-started DC solve, bit for bit --
-    // same equations, same accumulation order.
+    // transient step IS the DC solve, bit for bit -- same factor,
+    // same source -- whatever state it starts from.
     PdnMesh mesh(transientMesh(0.0, 0.0));
     mesh.addBlockLoad(4, 4, 8, 8, 2.0);
     mesh.addBlockLoad(10, 2, 3, 3, 0.7);
-    const PdnSolution cold = mesh.solve();
+    const PdnSolution dc = mesh.solve();
 
-    // Perturb the warm start so the step has real work to do.
-    PdnSolution seed = cold;
-    for (double &v : seed.voltage)
+    // Perturb the starting state: without storage it has no memory.
+    PdnTransientState state = mesh.transientInit(dc);
+    for (double &v : state.sol.voltage)
         v -= 1e-4;
-    PdnTransientState state = mesh.transientInit(cold);
-    state.sol = seed;
     mesh.stepTransient(2e-9, state);
-    const PdnSolution warm_dc = mesh.solve(&seed);
-    ASSERT_EQ(state.sol.voltage.size(), warm_dc.voltage.size());
-    for (size_t i = 0; i < warm_dc.voltage.size(); ++i)
-        ASSERT_EQ(state.sol.voltage[i], warm_dc.voltage[i])
+    ASSERT_EQ(state.sol.voltage.size(), dc.voltage.size());
+    for (size_t i = 0; i < dc.voltage.size(); ++i)
+        ASSERT_EQ(state.sol.voltage[i], dc.voltage[i])
             << "node " << i;
-    EXPECT_EQ(state.sol.iterations, warm_dc.iterations);
 }
 
 TEST(TransientMesh, ConvergesToDcSolveAsDecapVanishes)
@@ -143,8 +139,6 @@ TEST(TransientMesh, ChargeConservedOverStepLoadTrace)
     // delivered through the bumps equals the charge drawn by the
     // loads plus the charge (dis)charged into the decaps.
     PdnMeshConfig cfg = transientMesh();
-    cfg.tolerance = 1e-10;
-    cfg.maxIterations = 20000;
     PdnMesh mesh(cfg);
     PdnTransientState state = mesh.transientInit(mesh.solve());
     const double v_start = sumVoltage(state.sol);

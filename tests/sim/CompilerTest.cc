@@ -50,6 +50,35 @@ TEST(Compiler, TileCountFollowsDimensions)
     }
 }
 
+TEST(Compiler, TileMacsSumToOperatorMacs)
+{
+    // 250 x 301 does not divide by its 2 x 3 tiles: the remainder
+    // goes one MAC each to the first tiles instead of being dropped.
+    LayerSpec spec;
+    spec.name = "odd";
+    spec.type = OpType::Linear;
+    spec.outChannels = 250; // 2 bank tiles of 128
+    spec.reduction = 301;   // 3 row tiles of 128
+    spec.spatial = 1;
+    aim::quant::QuantizedLayer q;
+    q.values.assign(1024, 5);
+    q.bits = 8;
+    q.rows = 32;
+    q.cols = 32;
+    const auto tasks = tileOperator(spec, &q, chip(), 0, 64, 1);
+    ASSERT_EQ(tasks.size(), 6u);
+    ASSERT_NE(spec.macs() % 6, 0);
+    long total = 0;
+    for (size_t i = 0; i < tasks.size(); ++i) {
+        total += tasks[i].macs;
+        const long extra =
+            static_cast<long>(i) < spec.macs() % 6 ? 1 : 0;
+        EXPECT_EQ(tasks[i].macs, spec.macs() / 6 + extra)
+            << "tile " << i;
+    }
+    EXPECT_EQ(total, spec.macs());
+}
+
 TEST(Compiler, TilesCappedByAvailableMacros)
 {
     LayerSpec spec;
@@ -141,10 +170,7 @@ TEST(Compiler, MacsConserved)
     for (const auto &r : rounds)
         for (const auto &t : r.tasks)
             total += t.macs;
-    // Equal up to per-operator integer division truncation.
-    EXPECT_NEAR(static_cast<double>(total),
-                static_cast<double>(model.totalMacs()),
-                0.01 * model.totalMacs());
+    EXPECT_EQ(total, model.totalMacs());
 }
 
 TEST(Compiler, MismatchedWeightListDies)

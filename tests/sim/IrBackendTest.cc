@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "PdnOracle.hh"
 #include "TestUtil.hh"
 #include "power/MeshBackend.hh"
 #include "util/Stats.hh"
@@ -114,11 +115,9 @@ TEST(IrBackend, MeshCalibratedToEquation2Anchor)
 
 TEST(IrBackend, MeshConvergesUnderConstantDemand)
 {
-    // A capped per-window solve may leave the voltage map far from
-    // consistent (the first window starts at the full-activity
-    // baseline).  Quiet windows -- demand inside rtogThreshold --
-    // must keep iterating until tolerance instead of freezing the
-    // stale map, so a constant load settles on Equation 2's level.
+    // A constant load reads Equation 2's level: the mesh is anchored
+    // to it at uniform activity, and quiet windows -- demand inside
+    // rtogThreshold -- keep the exact droop of the last refresh.
     power::IrBackendConfig bc;
     bc.kind = power::IrBackendKind::Mesh;
     const auto cal = power::defaultCalibration();
@@ -143,6 +142,72 @@ TEST(IrBackend, MeshConvergesUnderConstantDemand)
     EXPECT_NEAR(mean, ir.dropMv(0.75, 1.0, 0.10), 1.0);
 }
 
+TEST(IrBackend, MeshFirstWindowIsExactDcDroop)
+{
+    // Regression: the first window of a round must already report
+    // the DC droop of the currents it injects.  Per-window solves
+    // capped at a few sweeps, warm-started from the full-activity
+    // map, used to report tens of mV of solver lag on a partially
+    // occupied chip.  Reference: the seed's SOR to 1e-12 A on the
+    // same loads.
+    power::IrBackendConfig bc;
+    bc.kind = power::IrBackendKind::Mesh;
+    power::Calibration cal = power::defaultCalibration();
+    cal.dpimNoiseMv = 0.0;
+    const power::MeshBackend bk(bc, cal);
+    const power::IrModel ir(cal);
+
+    // Partial occupancy: group g hosts 1 + g % 3 macros, and every
+    // fourth group is idle.
+    std::vector<std::vector<int>> layout(16);
+    auto gw = uniformWindow(0.3);
+    for (int g = 0; g < 16; ++g) {
+        if (g % 4 == 3) {
+            gw[static_cast<size_t>(g)].active = false;
+            continue;
+        }
+        for (int m = 0; m <= g % 3; ++m)
+            layout[static_cast<size_t>(g)].push_back(g * 4 + m);
+    }
+
+    power::PdnMesh mesh(bk.meshConfig());
+    const double full_a = ir.demandCurrentA(
+        ir.dynamicDropMv(0.75, 1.0, 0.3));
+    for (const auto &macros : layout)
+        for (int m : macros) {
+            const auto r = bk.macroFootprint(m);
+            mesh.addBlockLoad(r.row0, r.col0, r.rows, r.cols,
+                              full_a / 64.0);
+        }
+    power::PdnSolution oracle;
+    ASSERT_TRUE(test::lexicographicSolve(mesh, oracle, 1e-12));
+
+    auto eval = bk.newEval(layout);
+    util::Rng rng(3);
+    std::vector<double> drops(16, 0.0);
+    eval->window(gw, rng, drops);
+    for (int g = 0; g < 16; ++g) {
+        const auto &macros = layout[static_cast<size_t>(g)];
+        if (macros.empty())
+            continue;
+        double acc = 0.0;
+        long nodes = 0;
+        for (int m : macros) {
+            const auto r = bk.macroFootprint(m);
+            for (int row = r.row0; row < r.row0 + r.rows; ++row)
+                for (int col = r.col0; col < r.col0 + r.cols; ++col) {
+                    acc += oracle.dropAtMv(row, col, cal.vddNominal);
+                    ++nodes;
+                }
+        }
+        const double expected = ir.staticDropMv(0.75) +
+                                bk.dynScale() * acc /
+                                    static_cast<double>(nodes);
+        EXPECT_NEAR(drops[static_cast<size_t>(g)], expected, 1e-9)
+            << "group " << g;
+    }
+}
+
 TEST(IrBackend, MeshSeesNeighbourCoupling)
 {
     // The same group droops more when the rest of the chip is also
@@ -163,7 +228,6 @@ TEST(IrBackend, MeshSeesNeighbourCoupling)
         solo[static_cast<size_t>(g)].active = g == 5;
     solo[5].rtog = 0.4;
     auto eval_a = bk.newEval(fullLayout());
-    // Repeat a few windows so the warm solver settles.
     for (int w = 0; w < 8; ++w)
         eval_a->window(solo, rng_a, drops_alone);
 
