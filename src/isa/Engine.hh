@@ -1,17 +1,17 @@
 /**
  * @file
  * The ISA execution engine: decode -> issuable-check -> issue ->
- * complete over a lowered Program (isa/Lower), driving the exact
- * window physics of the round-level runtime.
+ * complete over a lowered Program (isa/Lower), attached to the
+ * round-level runtime's window walk.
  *
- * The engine executes each round's instruction block against the
- * same substrate Runtime::runRound uses -- the shared RuntimeEnv
- * (V-f table, power model, timing thresholds, droop backend), the
- * same ChipState round setup, the same WindowKernel per-window
- * advance, the same RNG draw order -- so the RunReport it produces
- * is bit-for-bit identical to Runtime::run on the same (rounds,
- * stream, seed) triple (tests/isa/EngineGoldenTest pins this on the
- * model zoo).  What the instruction granularity adds:
+ * The engine does not execute rounds itself.  It runs the program's
+ * source rounds through sim::Runtime::run -- the repo's one round
+ * walk: mapping, ChipState setup, WindowKernel steps, finalization
+ * -- and observes that walk through read-only sim::RoundHooks, so
+ * the RunReport it returns is Runtime::run's on the same (rounds,
+ * stream, seed) triple by construction (tests/isa/EngineGoldenTest
+ * pins it on the model zoo).  What the instruction granularity adds
+ * on top of the hooks:
  *
  *   - a Scoreboard enforcing the explicit dependency tags, the
  *     BARRIER round boundary and the same-Set structural hazard,
@@ -26,15 +26,14 @@
  *
  * Only MAC_WINDOW consumes simulated time; LOAD_WEIGHT, SET_SYNC,
  * RETUNE, SHIFT_ACC, NOP and BARRIER complete at issue, modelling
- * the round setup the round-level runtime performs implicitly at
- * round entry.
+ * the round setup the runtime performs at round entry.
  *
- * On top of the physics walk the engine replays the program's
- * timing on per-Set lane clocks (isa/Schedule): measured MAC
- * durations plus the lowered Instr::costNs of loads/retunes give an
- * in-order cost-modelled makespan, and -- when a Schedule is passed
- * -- a software-pipelined one, with the saved difference reported.
- * The replay never feeds back into the physics, which is what keeps
+ * After the walk the engine replays the program's timing on per-Set
+ * lane clocks (isa/Schedule): measured MAC durations plus the
+ * lowered Instr::costNs of loads/retunes give an in-order
+ * cost-modelled makespan, and -- when a Schedule is passed -- a
+ * software-pipelined one, with the saved difference reported.  The
+ * replay never feeds back into the physics, which is what keeps
  * droop/accuracy statistics bit-identical under scheduling.
  */
 
@@ -45,7 +44,6 @@
 #include <memory>
 
 #include "isa/Isa.hh"
-#include "pim/ToggleModel.hh"
 #include "sim/Runtime.hh"
 
 namespace aim::isa
@@ -57,7 +55,7 @@ struct Schedule;
  * instruction-level accounting the round runtime cannot see. */
 struct EngineReport
 {
-    /** Bit-identical to Runtime::run on the source rounds. */
+    /** Runtime::run's report on the source rounds. */
     sim::RunReport run;
     /** Instructions decoded (= the program's instruction count). */
     long decoded = 0;
@@ -98,7 +96,6 @@ struct EngineReport
 class Engine
 {
   public:
-    /** Builds the same execution environment Runtime does. */
     Engine(const pim::PimConfig &cfg, const power::Calibration &cal,
            const sim::RunConfig &rcfg);
 
@@ -108,7 +105,7 @@ class Engine
      * report a pure function of (program, stream, seed, config).
      *
      * @param carry optional electrical-state carry, identical
-     *        semantics to Runtime::run's carry overload
+     *        semantics to Runtime::run's carry
      * @param trace optional sink receiving every issue/complete
      *        event in deterministic order
      * @param schedule optional software-pipelined issue order
@@ -123,31 +120,10 @@ class Engine
         TraceSink *trace = nullptr,
         const Schedule *schedule = nullptr) const;
 
-    /** The shared execution environment. */
-    const sim::RuntimeEnv &environment() const { return env; }
-
   private:
-    /** Per-round inputs of the tail-idle accounting. */
-    struct RoundTail
-    {
-        /** Macro ids the round's mapping occupies. */
-        std::vector<int> activeMacros;
-        /** Macro-weighted Set wait on the round's slowest Set
-         * [ns]. */
-        double setImbalanceNs = 0.0;
-    };
-
-    /** Execute one round's instruction block; records the measured
-     * MAC durations into @p durNs for the timing replay. */
-    sim::RunReport runBlock(const Program &program, size_t round,
-                            const pim::ToggleStats &toggles,
-                            uint64_t roundSeed,
-                            std::unique_ptr<power::IrState> *carry,
-                            TraceSink *trace, EngineReport &er,
-                            RoundTail &tail,
-                            std::vector<double> &durNs) const;
-
-    sim::RuntimeEnv env;
+    sim::Runtime runtime;
+    /** Macros on the chip (the tail-idle walk's denominator). */
+    double chipMacros;
 };
 
 } // namespace aim::isa

@@ -37,25 +37,14 @@ roundWithPenalty(double x, int bits, bool lhr, double mu)
     return static_cast<int32_t>(cost(fl) <= cost(ce) ? fl : ce);
 }
 
-double
-devLsb2(const QuantizedLayer &q, const FloatLayer &layer)
-{
-    if (q.values.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (size_t i = 0; i < q.values.size(); ++i) {
-        const double d = q.values[i] -
-                         static_cast<double>(layer.pretrained[i]) / q.scale;
-        acc += d * d;
-    }
-    return acc / static_cast<double>(q.values.size());
-}
-
 void
 record(QatResult &res, QuantizedLayer q, const FloatLayer &layer)
 {
+    // No fine-tuning pass follows PTQ to absorb small movements, so
+    // the whole displacement is excess (a zero deadzone).
     res.layerHr.push_back(q.hr());
-    res.layerDevLsb2.push_back(devLsb2(q, layer));
+    res.layerDevLsb2.push_back(deviationLsb2(q, layer, q.scale));
+    res.layerExcessLsb2.push_back(excessLsb2(q, layer, q.scale, 0.0));
     res.layers.push_back(std::move(q));
 }
 

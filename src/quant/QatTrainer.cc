@@ -34,6 +34,8 @@ finishLayer(const FloatLayer &layer, double scale, int bits)
     return out;
 }
 
+} // namespace
+
 double
 deviationLsb2(const QuantizedLayer &q, const FloatLayer &layer,
               double scale)
@@ -64,8 +66,6 @@ excessLsb2(const QuantizedLayer &q, const FloatLayer &layer,
     }
     return acc / static_cast<double>(q.values.size());
 }
-
-} // namespace
 
 double
 QatResult::hrAverage() const

@@ -124,6 +124,16 @@ class QatTrainer
     QatConfig cfg;
 };
 
+/** Mean squared displacement of @p q from the pretrained anchor at
+ * @p scale [LSB^2] (QatResult::layerDevLsb2). */
+double deviationLsb2(const QuantizedLayer &q, const FloatLayer &layer,
+                     double scale);
+
+/** Mean squared displacement beyond @p deadzone [LSB^2]
+ * (QatResult::layerExcessLsb2). */
+double excessLsb2(const QuantizedLayer &q, const FloatLayer &layer,
+                  double scale, double deadzone);
+
 /**
  * Quantize a network without any fine-tuning -- the baseline [64]
  * configuration every paper table compares against.

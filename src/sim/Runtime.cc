@@ -30,37 +30,20 @@ RunReport::topsPerWatt(int active_macros) const
     return watts > 0.0 ? tops / watts : 0.0;
 }
 
-RuntimeEnv::RuntimeEnv(const pim::PimConfig &cfg,
-                       const power::Calibration &cal,
-                       const RunConfig &rcfg)
-    : cfg(cfg), cal(cal), rcfg(rcfg), table(cal), pm(cal)
+namespace
 {
-    // Timing thresholds per grid frequency (bisection is slow):
-    // computed once for the env's lifetime, not per round.
-    for (double f : cal.fGrid)
-        vminByF[f] = table.vMinTiming(f);
 
-    recomputeStall = std::max<long>(
-        1, (cal.recomputePenaltyCycles + cfg.inputBits - 1) /
-               cfg.inputBits);
-    switchStall = std::max<long>(
-        1, (cal.vfSwitchPenaltyCycles + cfg.inputBits - 1) /
-               cfg.inputBits);
-
-    power::IrBackendConfig bcfg;
-    bcfg.kind = rcfg.irBackend;
-    bcfg.groups = cfg.groups;
-    bcfg.macrosPerGroup = cfg.macrosPerGroup;
-    bcfg.transientDecapNf = rcfg.transientDecapNf;
-    bcfg.transientDtNs = rcfg.transientDtNs;
-    bcfg.transientBumpPh = rcfg.transientBumpPh;
-    bcfg.windowCycles = cfg.inputBits;
-    backend = power::makeIrBackend(bcfg, cal);
-}
-
+/**
+ * Post-loop round finalization: wall time from the Set clocks,
+ * energy -> macro power, the work-weighted level/Rtog/droop means
+ * and the effective-TOPS derivation.  @p rep must already carry the
+ * loop-accumulated counters (failures, stalls, useful windows,
+ * totalMacs).
+ */
 void
 finalizeRoundReport(const ChipState &state, const WindowStats &stats,
-                    const RuntimeEnv &env, RunReport &rep)
+                    const power::PowerModel &pm, double f_nominal,
+                    RunReport &rep)
 {
     for (const auto &[sid, ss] : state.sets)
         rep.wallTimeNs = std::max(rep.wallTimeNs, ss.wallNs);
@@ -84,70 +67,92 @@ finalizeRoundReport(const ChipState &state, const WindowStats &stats,
     const double mean_f =
         rep.usefulWindows > 0
             ? stats.usefulFreqSum / rep.usefulWindows
-            : env.cal.fNominal;
-    rep.tops = env.pm.chipTops(mean_f, rep.utilization());
+            : f_nominal;
+    rep.tops = pm.chipTops(mean_f, rep.utilization());
     rep.roundLatencyNs.push_back(rep.wallTimeNs);
 }
 
+} // namespace
+
 Runtime::Runtime(const pim::PimConfig &cfg,
                  const power::Calibration &cal, const RunConfig &rcfg)
-    : env(cfg, cal, rcfg)
+    : cfg(cfg), cal(cal), rcfg(rcfg), table(cal), pm(cal)
 {
+    for (double f : cal.fGrid)
+        vminByF[f] = table.vMinTiming(f);
+
+    recomputeStall = std::max<long>(
+        1, (cal.recomputePenaltyCycles + cfg.inputBits - 1) /
+               cfg.inputBits);
+    switchStall = std::max<long>(
+        1, (cal.vfSwitchPenaltyCycles + cfg.inputBits - 1) /
+               cfg.inputBits);
+
+    power::IrBackendConfig bcfg;
+    bcfg.kind = rcfg.irBackend;
+    bcfg.groups = cfg.groups;
+    bcfg.macrosPerGroup = cfg.macrosPerGroup;
+    bcfg.transientDecapNf = rcfg.transientDecapNf;
+    bcfg.transientDtNs = rcfg.transientDtNs;
+    bcfg.transientBumpPh = rcfg.transientBumpPh;
+    bcfg.windowCycles = cfg.inputBits;
+    backend = power::makeIrBackend(bcfg, cal);
 }
 
 RunReport
 Runtime::run(const std::vector<Round> &rounds,
              const pim::StreamSpec &stream) const
 {
-    return run(rounds, stream, env.rcfg.seed);
-}
-
-RunReport
-Runtime::run(const std::vector<Round> &rounds,
-             const pim::StreamSpec &stream, uint64_t seed) const
-{
-    return run(rounds, stream, seed, nullptr);
+    return run(rounds, stream, rcfg.seed);
 }
 
 RunReport
 Runtime::run(const std::vector<Round> &rounds,
              const pim::StreamSpec &stream, uint64_t seed,
-             std::unique_ptr<power::IrState> *carry) const
+             std::unique_ptr<power::IrState> *carry,
+             const RoundHooks *hooks) const
 {
     const auto toggles =
-        pim::estimateToggleStats(stream, env.cfg.rows, 200, seed);
+        pim::estimateToggleStats(stream, cfg.rows, 200, seed);
     std::vector<RunReport> parts;
     parts.reserve(rounds.size());
-    for (const auto &round : rounds)
-        parts.push_back(runRound(round, toggles, ++seed, carry));
+    for (size_t r = 0; r < rounds.size(); ++r)
+        parts.push_back(
+            runRound(r, rounds[r], toggles, ++seed, carry, hooks));
     return mergeReports(parts);
 }
 
 RunReport
-Runtime::runRound(const Round &round, const pim::ToggleStats &toggles,
-                  uint64_t round_seed,
-                  std::unique_ptr<power::IrState> *carry) const
+Runtime::runRound(size_t index, const Round &round,
+                  const pim::ToggleStats &toggles, uint64_t round_seed,
+                  std::unique_ptr<power::IrState> *carry,
+                  const RoundHooks *hooks) const
 {
     RunReport rep;
-    if (round.tasks.empty())
+    if (round.tasks.empty()) {
+        if (hooks && hooks->begin)
+            hooks->begin(index, nullptr);
         return rep;
+    }
 
     util::Rng rng(round_seed);
 
     // Map the round's tasks onto macros.
     const auto objective =
-        env.rcfg.boost.mode == booster::BoostMode::Sprint
+        rcfg.boost.mode == booster::BoostMode::Sprint
             ? mapping::Objective::Sprint
             : mapping::Objective::LowPower;
-    mapping::MappingEvaluator eval(env.cfg, env.table, env.pm,
-                                   objective, round_seed);
-    const mapping::Mapping map = mapWith(
-        env.rcfg.mapper, round.tasks, env.cfg, eval, round_seed);
+    mapping::MappingEvaluator eval(cfg, table, pm, objective,
+                                   round_seed);
+    const mapping::Mapping map =
+        mapWith(rcfg.mapper, round.tasks, cfg, eval, round_seed);
 
     // Round setup: group / Set bookkeeping, controllers, samplers.
-    ChipState state(env.cfg, env.cal, env.table, env.rcfg.boost,
-                    env.rcfg.useBooster, round, map, toggles, rng);
+    ChipState state(cfg, cal, table, rcfg.boost, rcfg.useBooster,
+                    round, map, toggles, rng);
     rep.totalMacs = state.totalMacs;
+    if (hooks && hooks->begin)
+        hooks->begin(index, &state);
 
     // Per-round droop evaluator of the configured backend, seeded
     // from the carried electrical state when the caller threads one
@@ -155,24 +160,26 @@ Runtime::runRound(const Round &round, const pim::ToggleStats &toggles,
     // null-carry path calls the plain newEval and stays bit-identical
     // to the pre-carry runtime.
     const auto droop =
-        carry ? env.backend->newEval(state.activeMacroIds(),
-                                     carry->get())
-              : env.backend->newEval(state.activeMacroIds());
+        carry ? backend->newEval(state.activeMacroIds(), carry->get())
+              : backend->newEval(state.activeMacroIds());
 
-    WindowKernel kernel(env.cfg, env.cal, env.rcfg.useBooster,
-                        env.pm, env.vminByF, env.recomputeStall,
-                        env.switchStall);
+    WindowKernel kernel(cfg, cal, rcfg.useBooster, pm, vminByF,
+                        recomputeStall, switchStall);
     WindowStats stats;
 
     long window = 0;
-    for (; window < env.rcfg.maxWindowsPerRound &&
-           state.anyRemaining();
-         ++window)
+    while (window < rcfg.maxWindowsPerRound && state.anyRemaining()) {
         kernel.step(state, *droop, rng, rep, stats);
+        ++window;
+        if (hooks && hooks->window)
+            hooks->window(state, window);
+    }
     aim_assert(!state.anyRemaining(), "round did not converge within ",
-               env.rcfg.maxWindowsPerRound, " windows");
+               rcfg.maxWindowsPerRound, " windows");
+    if (hooks && hooks->end)
+        hooks->end(state);
 
-    finalizeRoundReport(state, stats, env, rep);
+    finalizeRoundReport(state, stats, pm, cal.fNominal, rep);
     if (carry)
         *carry = droop->exportState();
     return rep;

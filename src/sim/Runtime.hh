@@ -6,22 +6,25 @@
  * Time advances in *windows* of one bit-serial pass (inputBits
  * cycles).  Every window, each active group samples its worst-macro
  * Rtog, the configured droop backend (power/IrBackend: Equation-2
- * analytic or incremental PDN-mesh) produces the group's droop, the
- * monitor digitizes it against the timing threshold of the current
- * frequency, and the Algorithm-2 controller reacts.  IRFailures
- * trigger recompute stalls for the failing group's Sets (Figure 11);
- * V-f switches cost settle windows.  Energy, wall time, IR-drop and
- * level statistics are aggregated into a RunReport.
+ * analytic, exact DC PDN mesh or RC transient) produces the group's
+ * droop, the monitor digitizes it against the timing threshold of
+ * the current frequency, and the Algorithm-2 controller reacts.
+ * IRFailures trigger recompute stalls for the failing group's Sets
+ * (Figure 11); V-f switches cost settle windows.  Energy, wall time,
+ * IR-drop and level statistics are aggregated into a RunReport.
  *
- * The engine itself is decomposed: sim/ChipState holds the round's
- * mutable state, sim/WindowKernel advances one window, and Runtime
- * is the thin orchestrator that maps tasks, loops windows and
- * finalizes reports.
+ * Runtime::run is the repo's one round walk: per round it maps the
+ * tasks (Algorithm 3), sets up sim/ChipState, steps sim/WindowKernel
+ * until every Set retires and finalizes the round report.  The
+ * instruction-level engine (isa/Engine) does not walk rounds itself;
+ * it observes this walk through read-only RoundHooks and keeps its
+ * scoreboard, trace and timing replay on top.
  */
 
 #ifndef AIM_SIM_RUNTIME_HH
 #define AIM_SIM_RUNTIME_HH
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -111,46 +114,24 @@ struct RunReport
 };
 
 class ChipState;
-struct WindowStats;
 
 /**
- * Construction-time execution environment of the window engine:
- * everything Runtime::runRound needs that is immutable across
- * rounds -- the V-f table, power model, the per-frequency timing
- * thresholds (one bisection each, computed once), the stall widths
- * and the shared droop backend.  Factored out of Runtime so the
- * instruction-level engine (src/isa/Engine) executes against the
- * byte-identical environment instead of re-deriving its own.
+ * Read-only observers of Runtime::run's round walk (the ISA engine's
+ * attachment point).  Each hook is optional; none may mutate the
+ * state, so a hooked run is bit-identical to an unhooked one.
  */
-struct RuntimeEnv
+struct RoundHooks
 {
-    RuntimeEnv(const pim::PimConfig &cfg,
-               const power::Calibration &cal, const RunConfig &rcfg);
-
-    pim::PimConfig cfg;
-    power::Calibration cal;
-    RunConfig rcfg;
-    power::VfTable table;
-    power::PowerModel pm;
-    /** Timing threshold per grid frequency. */
-    std::map<double, double> vminByF;
-    long recomputeStall = 1;
-    long switchStall = 1;
-    /** Shared across rounds and threads (immutable; evals are
-     * per-round).  shared_ptr keeps the env copyable. */
-    std::shared_ptr<const power::IrBackend> backend;
+    /** Round @p round starts, after its setup.  @p state is null for
+     * an empty round, which consumes no time, RNG or carry. */
+    std::function<void(size_t round, const ChipState *state)> begin;
+    /** After each window; @p windowsRun counts the round's windows
+     * so far. */
+    std::function<void(const ChipState &state, long windowsRun)>
+        window;
+    /** The round's Sets have all retired (before finalization). */
+    std::function<void(const ChipState &state)> end;
 };
-
-/**
- * Post-loop round finalization shared by Runtime::runRound and
- * isa::Engine: wall time from the Set clocks, energy -> macro power,
- * the work-weighted level/Rtog/droop means and the effective-TOPS
- * derivation.  @p rep must already carry the loop-accumulated
- * counters (failures, stalls, useful windows, totalMacs).
- */
-void finalizeRoundReport(const ChipState &state,
-                         const WindowStats &stats,
-                         const RuntimeEnv &env, RunReport &rep);
 
 /** Executes rounds on the modelled chip. */
 class Runtime
@@ -181,47 +162,50 @@ class Runtime
      * neither the calling thread nor the interleaving of concurrent
      * runs can change it, which is what lets exec::ExecPool
      * parallelize fleet serving bit-identically (src/serve/Fleet).
-     */
-    RunReport run(const std::vector<Round> &rounds,
-                  const pim::StreamSpec &stream,
-                  uint64_t seed) const;
-
-    /**
-     * Run with electrical-state carry: @p carry (when non-null) is
-     * read to seed the first round's droop evaluator and overwritten
-     * with the settled state of the last round, so back-to-back
-     * requests on one chip see burst continuity instead of a cold DC
-     * re-init (stateful backends only; the analytic and mesh
-     * backends export nothing and ignore seeds).  A null @p carry --
-     * or a carry holding nullptr on entry for the first request --
-     * executes the seedless path bit-identically to run(rounds,
-     * stream, seed).  Callers that carry state serialize runs per
-     * chip themselves; the carry pointer must not be shared across
-     * concurrent calls.
+     *
+     * @param carry optional electrical-state carry: read to seed the
+     *        first round's droop evaluator and overwritten with the
+     *        settled state of the last round, so back-to-back
+     *        requests on one chip see burst continuity instead of a
+     *        cold DC re-init (stateful backends only; the analytic
+     *        and mesh backends export nothing and ignore seeds).  A
+     *        carry holding nullptr on entry runs bit-identically to
+     *        a null @p carry.  Callers that carry state serialize
+     *        runs per chip themselves; the carry pointer must not be
+     *        shared across concurrent calls.
+     * @param hooks optional observers of the round walk
      */
     RunReport run(const std::vector<Round> &rounds,
                   const pim::StreamSpec &stream, uint64_t seed,
-                  std::unique_ptr<power::IrState> *carry) const;
+                  std::unique_ptr<power::IrState> *carry = nullptr,
+                  const RoundHooks *hooks = nullptr) const;
 
     /** Access the V-f table (for reporting). */
-    const power::VfTable &vfTable() const { return env.table; }
+    const power::VfTable &vfTable() const { return table; }
 
     /** The droop backend executing this runtime's windows. */
-    const power::IrBackend &irBackend() const
-    {
-        return *env.backend;
-    }
-
-    /** The shared execution environment (isa::Engine's substrate). */
-    const RuntimeEnv &environment() const { return env; }
+    const power::IrBackend &irBackend() const { return *backend; }
 
   private:
-    RunReport runRound(const Round &round,
+    RunReport runRound(size_t index, const Round &round,
                        const pim::ToggleStats &toggles,
                        uint64_t roundSeed,
-                       std::unique_ptr<power::IrState> *carry) const;
+                       std::unique_ptr<power::IrState> *carry,
+                       const RoundHooks *hooks) const;
 
-    RuntimeEnv env;
+    pim::PimConfig cfg;
+    power::Calibration cal;
+    RunConfig rcfg;
+    power::VfTable table;
+    power::PowerModel pm;
+    /** Timing threshold per grid frequency (one bisection each,
+     * computed once, not per round). */
+    std::map<double, double> vminByF;
+    long recomputeStall = 1;
+    long switchStall = 1;
+    /** Shared across rounds and threads (immutable; evals are
+     * per-round). */
+    std::shared_ptr<const power::IrBackend> backend;
 };
 
 /** Merge per-round reports (time-weighted means). */

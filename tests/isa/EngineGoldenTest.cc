@@ -18,6 +18,7 @@
 #include "aim/Aim.hh"
 #include "isa/Engine.hh"
 #include "isa/Lower.hh"
+#include "isa/Schedule.hh"
 #include "workload/ModelZoo.hh"
 
 namespace aim::isa
@@ -203,6 +204,68 @@ TEST(IsaEngineGolden, AccountingAndTraceAreConsistent)
         text.rfind("instr,op,set,round,window,t_ns,slot,clk_ns,event",
                    0),
         0u);
+}
+
+/** FNV-1a digest of a text. */
+uint64_t
+fnv1a(const std::string &text)
+{
+    uint64_t h = 1469598103934665603ULL;
+    for (const unsigned char c : text)
+        h = (h ^ c) * 1099511628211ULL;
+    return h;
+}
+
+TEST(IsaEngineGolden, ScheduledTraceAndTailArePinned)
+{
+    // The instruction view over the physics walk: every trace column
+    // (window, t_ns, slot, clk_ns), the tail-idle walk across an
+    // empty round, and both cost-modelled makespans, on a costed and
+    // scheduled multi-round program.
+    const std::vector<sim::Round> rounds = {
+        convRound(0.30, 16, 12'000'000), sim::Round{},
+        convRound(0.45, 8, 9'000'000, true),
+        convRound(0.20, 4, 6'000'000)};
+    struct Pin
+    {
+        power::IrBackendKind kind;
+        uint64_t digest;
+        double tailIdleNs;
+        double inOrderNs;
+        double scheduledNs;
+    };
+    const Pin pins[] = {
+        {power::IrBackendKind::Analytic, 0xc997f5811e2b840cULL,
+         9585.4186159843994, 11928.097465886935,
+         11890.241465886935},
+        {power::IrBackendKind::Mesh, 0xf7644e3d9642385bULL,
+         9362.5852826510527, 11673.430799220252,
+         11635.574799220252},
+    };
+    const pim::PimConfig cfg;
+    const auto cal = power::defaultCalibration();
+    for (const Pin &pin : pins) {
+        sim::RunConfig rcfg;
+        rcfg.mapper = mapping::MapperKind::Sequential;
+        rcfg.irBackend = pin.kind;
+        LowerOptions lopts;
+        lopts.emitRetune = true;
+        lopts.loadNsPerWord = 0.002;
+        lopts.retuneNs = 150.0;
+        Program program = lower(rounds, cfg, lopts);
+        fuseMacShift(program);
+        const Schedule schedule = scheduleProgram(program);
+        std::ostringstream csv;
+        CsvTrace trace(csv);
+        const EngineReport er =
+            Engine(cfg, cal, rcfg)
+                .run(program, test::stream(), 41, nullptr, &trace,
+                     &schedule);
+        EXPECT_EQ(fnv1a(csv.str()), pin.digest);
+        EXPECT_EQ(er.tailIdleNs, pin.tailIdleNs);
+        EXPECT_EQ(er.inOrderMakespanNs, pin.inOrderNs);
+        EXPECT_EQ(er.scheduledMakespanNs, pin.scheduledNs);
+    }
 }
 
 TEST(IsaEngineGolden, EngineIsDeterministicAcrossRuns)

@@ -4,6 +4,8 @@
 
 #include "quant/Ptq.hh"
 #include "util/Rng.hh"
+#include "workload/AccuracyProxy.hh"
+#include "workload/ModelZoo.hh"
 
 using namespace aim::quant;
 
@@ -133,4 +135,26 @@ TEST(Ptq, PreservesLayerMetadata)
     EXPECT_EQ(res.layers[0].cols, 16);
     EXPECT_EQ(res.layers[0].name, "l0");
     EXPECT_EQ(res.layers[0].bits, 8);
+}
+
+TEST(Ptq, BothMethodsFeedTheAccuracyProxy)
+{
+    // evaluateAccuracy reads the per-layer excess deviation; both PTQ
+    // methods must fill it for every layer, and the LHR penalty may
+    // cost accuracy but never buy it back beyond the HR bonus.
+    const auto model = aim::workload::modelByName("ResNet18");
+    for (const auto method : {&runOmniQuant, &runBrecq}) {
+        for (const bool lhr : {false, true}) {
+            auto net = makeNetwork(3, 32, 32, 9);
+            PtqConfig cfg;
+            cfg.lhr = lhr;
+            const QatResult res = method(net, cfg);
+            ASSERT_EQ(res.layerExcessLsb2.size(), net.size());
+            for (size_t l = 0; l < net.size(); ++l)
+                EXPECT_EQ(res.layerExcessLsb2[l], res.layerDevLsb2[l]);
+            const auto acc =
+                aim::workload::evaluateAccuracy(model, res, net);
+            EXPECT_NEAR(acc.metric, model.baselineMetric, 1.0);
+        }
+    }
 }
